@@ -98,6 +98,8 @@ class Reader {
   /// True when the whole payload has been consumed.
   bool AtEnd() const { return pos_ == buf_.size(); }
   size_t remaining() const { return buf_.size() - pos_; }
+  /// Discards the unread rest of the payload.
+  void SkipRest() { pos_ = buf_.size(); }
 
  private:
   Status TakeRaw(void* out, size_t n, const char* what);

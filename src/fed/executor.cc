@@ -25,9 +25,10 @@ void RoundExecutor::ForEachClient(int64_t n,
 
 std::vector<RoundExecutor::ClientExecution> RoundExecutor::TrainRound(
     Strategy& strategy, std::vector<Client>& clients,
-    const std::vector<int>& participants, int epochs,
-    const std::vector<TrainHooks>& hooks, const FailurePlan* failures,
-    int round) {
+    const std::vector<int>& participants,
+    const std::vector<ClientFate>& fates, int epochs,
+    const std::vector<TrainHooks>& hooks) {
+  FEDGTA_CHECK_EQ(fates.size(), participants.size());
   FEDGTA_CHECK(hooks.empty() || hooks.size() == participants.size());
   std::vector<ClientExecution> executions(participants.size());
 
@@ -43,10 +44,8 @@ std::vector<RoundExecutor::ClientExecution> RoundExecutor::TrainRound(
         Client& client =
             clients[static_cast<size_t>(participants[static_cast<size_t>(i)])];
         ClientExecution& exec = executions[static_cast<size_t>(i)];
-        if (failures != nullptr) {
-          exec.fate = failures->FateOf(round, client.id());
-        }
-        if (exec.fate == ClientFate::kDropout) {
+        const ClientFate fate = fates[static_cast<size_t>(i)];
+        if (fate == ClientFate::kDropout) {
           // Sampled but never reports: no download, no local work.
           exec.result.client_id = client.id();
           return;
@@ -55,7 +54,7 @@ std::vector<RoundExecutor::ClientExecution> RoundExecutor::TrainRound(
         // work up to that point still advances its RNG streams, exactly as
         // a real partial run would.
         const int effective_epochs =
-            exec.fate == ClientFate::kCrash ? (epochs + 1) / 2 : epochs;
+            fate == ClientFate::kCrash ? (epochs + 1) / 2 : epochs;
         const TrainHooks& extra =
             hooks.empty() ? no_hooks : hooks[static_cast<size_t>(i)];
         WallTimer timer;

@@ -34,15 +34,11 @@ class RoundExecutor {
   /// Outcome of one participant's local work, index-aligned with the
   /// participant list passed to TrainRound.
   struct ClientExecution {
+    /// For a dropout no work ran and this holds only the client id.
     LocalResult result;
     /// Wall seconds of this client's TrainClient call (its own span; under
     /// parallel execution these overlap, so they do not sum to round time).
     double seconds = 0.0;
-    /// Injected failure outcome (kHealthy when no FailurePlan is active).
-    /// For kDropout no work ran and `result` holds only the client id; for
-    /// kStraggler/kCrash the work (full / truncated) ran but the server
-    /// must discard `result`.
-    ClientFate fate = ClientFate::kHealthy;
   };
 
   /// Runs fn(i) for each i in [0, n) with one pool task per index, blocking
@@ -51,23 +47,20 @@ class RoundExecutor {
   /// `fn` must be safe to invoke concurrently for distinct i.
   static void ForEachClient(int64_t n, const std::function<void(int64_t)>& fn);
 
-  /// Executes one round of local training: for every participants[i],
-  /// strategy.TrainClient(clients[participants[i]], epochs, hooks[i]).
-  /// `hooks` must be index-aligned with `participants` (or empty for no
-  /// extra hooks). Per-client wall times land in the `client.train_seconds`
-  /// histogram and per-client `client_train` trace spans are emitted on the
-  /// executing worker's buffer.
-  ///
-  /// When `failures` is non-null, each participant's fate for `round` is
-  /// consulted before dispatch: dropouts do no work, crashed clients train
-  /// only ceil(epochs/2) local epochs, stragglers train fully. Discarding
-  /// failed results (and renormalizing aggregation weights over the
-  /// survivors) is the caller's job — the executor only records fates.
+  /// Executes one round of local training: for every participants[i]
+  /// under fates[i], strategy.TrainClient(clients[participants[i]], epochs,
+  /// hooks[i]). `fates` and `hooks` must be index-aligned with
+  /// `participants` (`hooks` may be empty for no extra hooks). Dropouts do
+  /// no work, crashed clients train only ceil(epochs/2) local epochs,
+  /// stragglers train fully; discarding failed results is the caller's job.
+  /// Per-client wall times land in the `client.train_seconds` histogram and
+  /// per-client `client_train` trace spans are emitted on the executing
+  /// worker's buffer.
   static std::vector<ClientExecution> TrainRound(
       Strategy& strategy, std::vector<Client>& clients,
-      const std::vector<int>& participants, int epochs,
-      const std::vector<TrainHooks>& hooks,
-      const FailurePlan* failures = nullptr, int round = 0);
+      const std::vector<int>& participants,
+      const std::vector<ClientFate>& fates, int epochs,
+      const std::vector<TrainHooks>& hooks);
 };
 
 /// One client update flowing through the async runtime.
@@ -83,9 +76,9 @@ struct AsyncUpdate {
   LocalResult result;
 };
 
-/// Server-side update queue of the async federation runtime (DESIGN.md §5i)
-/// — the single component both the in-process oracle (Simulation::RunAsync)
-/// and the distributed coordinator feed.
+/// Server-side update queue of the async federation runtime (DESIGN.md §5i),
+/// owned by the RoundEngine whichever plane feeds it (the in-process oracle
+/// or the flat fleet's feed threads).
 ///
 /// Producers (worker feed threads, or the in-process round loop) push
 /// completed updates; every dispatched unit of work must eventually be

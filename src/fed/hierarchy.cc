@@ -7,12 +7,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/random.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/similarity.h"
-#include "data/registry.h"
-#include "fed/failure.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -20,10 +17,6 @@
 namespace fedgta {
 namespace fed {
 namespace {
-
-std::vector<float> CopyParams(std::span<const float> params) {
-  return std::vector<float>(params.begin(), params.end());
-}
 
 // serialize.h has no u64-vector primitive; signature words go out as an
 // explicit count + loop (same bytes a WriteU64Vec would produce).
@@ -393,35 +386,12 @@ Status RootCoordinator::ValidateConfig() const {
     return InvalidArgumentError(
         "more workers than clients: every worker must host at least one");
   }
-  if (config_.sim.fgl != FglModel::kNone) {
-    return InvalidArgumentError(
-        "FGL model wrappers are not supported in distributed mode");
-  }
-  if (!config_.sim.checkpoint_dir.empty() || config_.sim.resume) {
-    return InvalidArgumentError(
-        "checkpointing is not supported in distributed mode");
-  }
-  if (config_.sim.participation <= 0.0 || config_.sim.participation > 1.0) {
-    return InvalidArgumentError("participation must be in (0, 1]");
-  }
-  if (config_.sim.rounds < 1 || config_.sim.local_epochs < 1) {
-    return InvalidArgumentError("rounds and local_epochs must be >= 1");
-  }
   if (config_.sim.async) {
     return InvalidArgumentError(
         "the async runtime is not supported with regional aggregators "
         "(DESIGN.md §5k)");
   }
-  if (config_.compress != "off" &&
-      net::compress::FindCodec(config_.compress) == nullptr) {
-    return InvalidArgumentError("unknown compress codec '" +
-                                config_.compress + "'");
-  }
-  if (config_.compress_topk < 0) {
-    return InvalidArgumentError("compress_topk must be >= 0");
-  }
-  FEDGTA_RETURN_IF_ERROR(GetDatasetSpec(config_.dataset).status());
-  return OkStatus();
+  return ValidateRemoteConfig(config_);
 }
 
 Status RootCoordinator::Listen(int port) {
@@ -499,22 +469,9 @@ Status RootCoordinator::Handshake() {
     FEDGTA_RETURN_IF_ERROR(accepted.status());
     net::RpcChannel channel(std::move(*accepted), config_.rpc);
     net::HelloMsg hello;
-    FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &hello));
+    FEDGTA_RETURN_IF_ERROR(net::ReceiveHello(
+        channel.socket(), net::NodeRole::kAggregator, &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
-    if (hello.protocol_version < 5) {
-      net::ErrorMsg err;
-      err.message = "regional aggregators require protocol v5, peer speaks " +
-                    std::to_string(hello.protocol_version);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
-    }
-    if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kAggregator)) {
-      net::ErrorMsg err;
-      err.message = "expected an aggregator connection, peer announced role " +
-                    std::to_string(hello.node_role);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
-    }
 
     AggregatorLink& link = aggs_[static_cast<size_t>(a)];
     link.clients = topo.ClientShard(a);
@@ -954,13 +911,118 @@ Status RootCoordinator::AggregateFedGta(int round,
   return OkStatus();
 }
 
-Status RootCoordinator::Evaluate(int round, double* test_accuracy,
-                                 double* val_accuracy) {
-  const size_t n = data_.clients.size();
-  std::vector<double> test_acc(n, 0.0);
-  std::vector<double> val_acc(n, 0.0);
-  std::vector<char> evaluated(n, 0);
+void RootCoordinator::Train(int round, const std::vector<int>& participants,
+                            const std::vector<ClientFate>& fates,
+                            const Deliver& deliver) {
+  // Partition by shard: ascending participants are shard-major, so a
+  // single forward walk deals every shard its contiguous slice.
+  round_shards_.assign(aggs_.size(), ShardRoundState());
+  {
+    size_t cursor = 0;
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      while (cursor < participants.size() &&
+             aggs_[a].clients.contains(participants[cursor])) {
+        round_shards_[a].participants.push_back(participants[cursor]);
+        round_shards_[a].fates.push_back(fates[cursor]);
+        ++cursor;
+      }
+    }
+  }
 
+  std::vector<char> active(aggs_.size(), 0);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    active[a] =
+        aggs_[a].alive && !round_shards_[a].participants.empty() ? 1 : 0;
+  }
+  ParallelExchange(active, [&](size_t a) {
+    ShardRoundState& shard = round_shards_[a];
+    TrainShardBody body;
+    body.participants.assign(shard.participants.begin(),
+                             shard.participants.end());
+    body.fates.reserve(shard.fates.size());
+    for (ClientFate fate : shard.fates) {
+      body.fates.push_back(static_cast<uint32_t>(fate));
+    }
+    if (relay_) {
+      body.global_params =
+          CopyParams(strategy_->ParamsFor(shard.participants.front()));
+    }
+    net::RoutedMsg response;
+    FEDGTA_RETURN_IF_ERROR(CallAggregator(
+        a, MakeEnvelope(net::EnvelopeKind::kTrainShard, round, body),
+        &response));
+    FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
+        response, net::EnvelopeKind::kTrainShardDone, &shard.done));
+    const size_t expect = shard.participants.size();
+    if (shard.done.rpc_ok.size() != expect ||
+        shard.done.seconds.size() != expect ||
+        shard.done.losses.size() != expect ||
+        shard.done.num_samples.size() != expect ||
+        shard.done.confidences.size() != expect ||
+        (relay_ && shard.done.weights.size() != expect)) {
+      aggs_[a].alive = false;
+      aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
+      return InvalidArgumentError("train reply misaligned");
+    }
+    shard.trained = true;
+    return OkStatus();
+  });
+
+  // Reports in shard-major (= participant) order. A dead aggregator maps
+  // every shard participant onto the transport-failure dropout semantics.
+  // Only scalars travel in the FedGTA plane; relay mode adds the weights.
+  for (ShardRoundState& shard : round_shards_) {
+    for (size_t i = 0; i < shard.participants.size(); ++i) {
+      ClientReport report;
+      report.round = round;
+      report.fate = shard.fates[i];
+      report.delivered = shard.trained && shard.done.rpc_ok[i];
+      report.result.client_id = shard.participants[i];
+      if (report.delivered) {
+        report.seconds = shard.done.seconds[i];
+        report.result.loss = shard.done.losses[i];
+        report.result.num_samples = shard.done.num_samples[i];
+        report.result.metrics.confidence = shard.done.confidences[i];
+        if (relay_) report.result.params = std::move(shard.done.weights[i]);
+      }
+      deliver(std::move(report));
+    }
+  }
+}
+
+Status RootCoordinator::Aggregate(int round,
+                                  const std::vector<int>& survivors,
+                                  const std::vector<LocalResult>& results) {
+  if (relay_) {
+    strategy_->Aggregate(survivors, results);
+    return OkStatus();
+  }
+  std::vector<double> confidences;
+  confidences.reserve(results.size());
+  for (const LocalResult& r : results) {
+    confidences.push_back(r.metrics.confidence);
+    confidence_by_id_[static_cast<size_t>(r.client_id)] = r.metrics.confidence;
+  }
+  return AggregateFedGta(round, survivors, confidences, &round_shards_);
+}
+
+Strategy::CommunicationStats RootCoordinator::Communication(
+    const std::vector<LocalResult>& results) {
+  if (relay_) return strategy_->RoundCommunication(results);
+  // Shard-local sums of the base RoundCommunication formula — integer
+  // adds, so the shard-order total equals the single-server total.
+  Strategy::CommunicationStats comm;
+  for (const ShardRoundState& shard : round_shards_) {
+    if (!shard.trained) continue;
+    comm.upload_floats += shard.done.upload_floats;
+    comm.download_floats += shard.done.download_floats;
+  }
+  return comm;
+}
+
+Status RootCoordinator::Evaluate(int round, std::vector<double>* test_acc,
+                                 std::vector<double>* val_acc,
+                                 std::vector<char>* evaluated) {
   EvalShardBody request;
   if (relay_) request.global_params = CopyParams(strategy_->ParamsFor(0));
   std::vector<char> active(aggs_.size(), 0);
@@ -990,38 +1052,25 @@ Status RootCoordinator::Evaluate(int round, double* test_accuracy,
         return InvalidArgumentError("eval reply for a foreign client");
       }
       if (!done.evaluated[k]) continue;
-      test_acc[static_cast<size_t>(id)] = done.test_accuracy[k];
-      val_acc[static_cast<size_t>(id)] = done.val_accuracy[k];
-      evaluated[static_cast<size_t>(id)] = 1;
+      (*test_acc)[static_cast<size_t>(id)] = done.test_accuracy[k];
+      (*val_acc)[static_cast<size_t>(id)] = done.val_accuracy[k];
+      (*evaluated)[static_cast<size_t>(id)] = 1;
     }
     return OkStatus();
   });
-
-  // Weighted reduction in client order — same arithmetic stream as
-  // Simulation::Evaluate.
-  double test_correct = 0.0;
-  double val_correct = 0.0;
-  int64_t test_total = 0;
-  int64_t val_total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (!evaluated[i]) continue;
-    const ClientData& shard = data_.clients[i];
-    const int64_t n_test = static_cast<int64_t>(shard.test_idx.size());
-    const int64_t n_val = static_cast<int64_t>(shard.val_idx.size());
-    if (n_test > 0) {
-      test_correct += test_acc[i] * static_cast<double>(n_test);
-      test_total += n_test;
-    }
-    if (n_val > 0) {
-      val_correct += val_acc[i] * static_cast<double>(n_val);
-      val_total += n_val;
-    }
-  }
-  *test_accuracy =
-      test_total > 0 ? test_correct / static_cast<double>(test_total) : 0.0;
-  *val_accuracy =
-      val_total > 0 ? val_correct / static_cast<double>(val_total) : 0.0;
   return OkStatus();
+}
+
+void RootCoordinator::Finish() {
+  // Best-effort goodbye down the tree: each aggregator shuts its own
+  // worker fleet before acking.
+  for (AggregatorLink& link : aggs_) {
+    if (!link.alive || !link.channel.ok()) continue;
+    net::ShutdownMsg bye;
+    if (!net::SendMessage(link.channel.socket(), bye).ok()) continue;
+    net::ShutdownAckMsg ack;
+    (void)net::ExpectMessage(link.channel.socket(), &ack);
+  }
 }
 
 Result<SimulationResult> RootCoordinator::Run() {
@@ -1036,272 +1085,14 @@ Result<SimulationResult> RootCoordinator::Run() {
   }
   WallTimer setup_timer;
   FEDGTA_RETURN_IF_ERROR(Handshake());
+  const double setup_seconds = setup_timer.Seconds();
 
-  SimulationResult result;
-  result.setup_seconds = setup_timer.Seconds();
-
-  Rng rng(config_.seed ^ 0x517u);
-  double best_val = -1.0;
-
-  FailurePlan plan(config_.sim.failure);
-  const bool failures = config_.sim.failure.enabled();
-
-  const int n_clients = data_.num_clients();
-  const int per_round = std::max(
-      1,
-      static_cast<int>(std::lround(config_.sim.participation * n_clients)));
-
-  MetricsRegistry& metrics = GlobalMetrics();
-  Histogram& round_client_seconds =
-      metrics.GetHistogram("round.client_seconds");
-  Histogram& round_server_seconds =
-      metrics.GetHistogram("round.server_seconds");
-  Counter& rounds_completed = metrics.GetCounter("rounds.completed");
-  Counter& upload_floats = metrics.GetCounter("comm.upload_floats");
-  Counter& download_floats = metrics.GetCounter("comm.download_floats");
-  Counter& dropped_counter = metrics.GetCounter("fed.round.dropped_clients");
-  Counter& straggler_counter = metrics.GetCounter("fed.round.stragglers");
-  Counter& crashed_counter = metrics.GetCounter("fed.round.crashed_clients");
-  Histogram& round_seconds = metrics.GetHistogram("fed.round.seconds");
-  Counter& bytes_sent_counter = metrics.GetCounter("net.bytes_sent");
-  Counter& bytes_recv_counter = metrics.GetCounter("net.bytes_recv");
-  Timeline& timeline = GlobalTimeline();
-
-  for (int round = 1; round <= config_.sim.rounds; ++round) {
-    TraceContext round_ctx;
-    round_ctx.trace_id = trace_id_;
-    round_ctx.round = round;
-    ScopedTraceContext scoped_round(round_ctx);
-    FEDGTA_TRACE_SCOPE("round");
-    WallTimer round_timer;
-    const int64_t bytes_sent0 = bytes_sent_counter.value();
-    const int64_t bytes_recv0 = bytes_recv_counter.value();
-    // Participant sampling: byte-for-byte the flat coordinator's (and the
-    // in-process Simulation's) stream.
-    std::vector<int> participants =
-        per_round >= n_clients
-            ? [n_clients] {
-                std::vector<int> all(static_cast<size_t>(n_clients));
-                for (int i = 0; i < n_clients; ++i) {
-                  all[static_cast<size_t>(i)] = i;
-                }
-                return all;
-              }()
-            : rng.SampleWithoutReplacement(n_clients, per_round);
-    std::sort(participants.begin(), participants.end());
-    const size_t n_part = participants.size();
-    timeline.RoundStart(round, static_cast<int64_t>(n_part));
-
-    std::vector<ClientFate> fates(n_part, ClientFate::kHealthy);
-    if (failures) {
-      for (size_t i = 0; i < n_part; ++i) {
-        fates[i] = plan.FateOf(round, participants[i]);
-      }
-    }
-
-    // Partition by shard: ascending participants are shard-major, so a
-    // single forward walk deals every shard its contiguous slice.
-    std::vector<ShardRoundState> shards(aggs_.size());
-    {
-      size_t cursor = 0;
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        while (cursor < n_part &&
-               aggs_[a].clients.contains(participants[cursor])) {
-          shards[a].participants.push_back(participants[cursor]);
-          shards[a].fates.push_back(fates[cursor]);
-          ++cursor;
-        }
-      }
-    }
-
-    std::vector<char> active(aggs_.size(), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      active[a] =
-          aggs_[a].alive && !shards[a].participants.empty() ? 1 : 0;
-    }
-    WallTimer client_timer;
-    ParallelExchange(active, [&](size_t a) {
-      ShardRoundState& shard = shards[a];
-      TrainShardBody body;
-      body.participants.assign(shard.participants.begin(),
-                               shard.participants.end());
-      body.fates.reserve(shard.fates.size());
-      for (ClientFate fate : shard.fates) {
-        body.fates.push_back(static_cast<uint32_t>(fate));
-      }
-      if (relay_) {
-        body.global_params =
-            CopyParams(strategy_->ParamsFor(shard.participants.front()));
-      }
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kTrainShard, round, body),
-          &response));
-      FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-          response, net::EnvelopeKind::kTrainShardDone, &shard.done));
-      const size_t expect = shard.participants.size();
-      if (shard.done.rpc_ok.size() != expect ||
-          shard.done.seconds.size() != expect ||
-          shard.done.losses.size() != expect ||
-          shard.done.num_samples.size() != expect ||
-          shard.done.confidences.size() != expect ||
-          (relay_ && shard.done.weights.size() != expect)) {
-        aggs_[a].alive = false;
-        aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
-        return InvalidArgumentError("train reply misaligned");
-      }
-      shard.trained = true;
-      return OkStatus();
-    });
-    const double client_seconds = client_timer.Seconds();
-
-    // Global survivor reduction in participant order, mirroring the flat
-    // coordinator. A dead aggregator maps every shard participant onto the
-    // transport-failure dropout semantics.
-    std::vector<int> survivors;
-    std::vector<double> confidences;
-    std::vector<LocalResult> results;  // relay mode only
-    survivors.reserve(n_part);
-    confidences.reserve(n_part);
-    int64_t dropped = 0;
-    int64_t stragglers = 0;
-    int64_t crashed = 0;
-    double loss_sum = 0.0;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      ShardRoundState& shard = shards[a];
-      for (size_t i = 0; i < shard.participants.size(); ++i) {
-        const int id = shard.participants[i];
-        const ClientFate fate = shard.fates[i];
-        if (fate == ClientFate::kDropout) {
-          ++dropped;
-          timeline.ClientFate(round, id, std::string(ClientFateName(fate)),
-                              0.0);
-          continue;
-        }
-        if (!shard.trained || !shard.done.rpc_ok[i]) {
-          ++dropped;
-          timeline.ClientFate(round, id, "rpc_failed", 0.0);
-          continue;
-        }
-        timeline.ClientFate(round, id, std::string(ClientFateName(fate)),
-                            shard.done.seconds[i]);
-        switch (fate) {
-          case ClientFate::kHealthy: {
-            survivors.push_back(id);
-            loss_sum += shard.done.losses[i];
-            confidences.push_back(shard.done.confidences[i]);
-            confidence_by_id_[static_cast<size_t>(id)] =
-                shard.done.confidences[i];
-            if (relay_) {
-              LocalResult r;
-              r.client_id = id;
-              r.params = std::move(shard.done.weights[i]);
-              r.num_samples = shard.done.num_samples[i];
-              r.loss = shard.done.losses[i];
-              results.push_back(std::move(r));
-            }
-            break;
-          }
-          case ClientFate::kStraggler:
-            ++stragglers;
-            break;
-          case ClientFate::kCrash:
-            ++crashed;
-            break;
-          case ClientFate::kDropout:
-            break;  // handled above
-        }
-      }
-    }
-
-    WallTimer server_timer;
-    {
-      FEDGTA_TRACE_SCOPE("server_step");
-      if (!survivors.empty()) {
-        if (relay_) {
-          strategy_->Aggregate(survivors, results);
-        } else {
-          FEDGTA_RETURN_IF_ERROR(
-              AggregateFedGta(round, survivors, confidences, &shards));
-        }
-      }
-    }
-    const double server_seconds = server_timer.Seconds();
-
-    result.total_client_seconds += client_seconds;
-    result.total_server_seconds += server_seconds;
-    int64_t round_upload = 0;
-    int64_t round_download = 0;
-    if (relay_) {
-      const Strategy::CommunicationStats comm =
-          strategy_->RoundCommunication(results);
-      round_upload = comm.upload_floats;
-      round_download = comm.download_floats;
-    } else {
-      // Shard-local sums of the base RoundCommunication formula — integer
-      // adds, so the shard-order total equals the single-server total.
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (!shards[a].trained) continue;
-        round_upload += shards[a].done.upload_floats;
-        round_download += shards[a].done.download_floats;
-      }
-    }
-    result.total_upload_floats += round_upload;
-    result.total_download_floats += round_download;
-    result.total_dropped_clients += dropped;
-    result.total_straggler_clients += stragglers;
-    result.total_crashed_clients += crashed;
-
-    round_client_seconds.Record(client_seconds);
-    round_server_seconds.Record(server_seconds);
-    rounds_completed.Increment();
-    upload_floats.Increment(round_upload);
-    download_floats.Increment(round_download);
-    if (dropped > 0) dropped_counter.Increment(dropped);
-    if (stragglers > 0) straggler_counter.Increment(stragglers);
-    if (crashed > 0) crashed_counter.Increment(crashed);
-    round_seconds.Record(round_timer.Seconds());
-    timeline.RoundEnd(round, client_seconds, server_seconds,
-                      bytes_sent_counter.value() - bytes_sent0,
-                      bytes_recv_counter.value() - bytes_recv0, dropped,
-                      stragglers, crashed);
-
-    if (round % config_.sim.eval_every == 0 || round == config_.sim.rounds) {
-      RoundStats stats;
-      stats.round = round;
-      stats.train_loss =
-          survivors.empty()
-              ? 0.0
-              : loss_sum / static_cast<double>(survivors.size());
-      stats.client_seconds = result.total_client_seconds;
-      stats.server_seconds = result.total_server_seconds;
-      stats.upload_floats = result.total_upload_floats;
-      stats.download_floats = result.total_download_floats;
-      stats.dropped_clients = result.total_dropped_clients;
-      stats.straggler_clients = result.total_straggler_clients;
-      stats.crashed_clients = result.total_crashed_clients;
-      FEDGTA_RETURN_IF_ERROR(
-          Evaluate(round, &stats.test_accuracy, &stats.val_accuracy));
-      if (stats.val_accuracy > best_val) {
-        best_val = stats.val_accuracy;
-        result.best_test_accuracy = stats.test_accuracy;
-      }
-      result.final_test_accuracy = stats.test_accuracy;
-      result.curve.push_back(stats);
-    }
-  }
-
-  // Best-effort goodbye down the tree: each aggregator shuts its own
-  // worker fleet before acking.
-  for (AggregatorLink& link : aggs_) {
-    if (!link.alive || !link.channel.ok()) continue;
-    net::ShutdownMsg bye;
-    if (!net::SendMessage(link.channel.socket(), bye).ok()) continue;
-    net::ShutdownAckMsg ack;
-    (void)net::ExpectMessage(link.channel.socket(), &ack);
-  }
-
-  result.metrics_json = GlobalMetrics().ToJson();
+  SimulationConfig sim = config_.sim;
+  sim.seed = config_.seed;
+  RoundEngine engine(sim, data_.clients, this);
+  engine.SetTraceId(trace_id_);
+  Result<SimulationResult> result = engine.Run();
+  if (result.ok()) result->setup_seconds = setup_seconds;
   return result;
 }
 
@@ -1350,32 +1141,8 @@ std::string RootCoordinator::RenderStatus(const std::string& command) const {
       }
     }
   }
-  out += "latencies:\n";
-  for (const char* name :
-       {"fed.round.seconds", "net.rpc.seconds", "round.client_seconds",
-        "round.server_seconds", "fleet.phase.remote_train.seconds"}) {
-    const Histogram* h = GlobalMetrics().FindHistogram(name);
-    if (h == nullptr) continue;
-    const Histogram::Snapshot s = h->snapshot();
-    if (s.count == 0) continue;
-    out += StrFormat("  %s: count=%lld p50=%.6f p99=%.6f\n", name,
-                     static_cast<long long>(s.count), s.Quantile(0.5),
-                     s.Quantile(0.99));
-  }
-  // Similarity/aggregation plane counters (root-side global totals).
-  {
-    std::string plane;
-    for (const char* name :
-         {"fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
-          "fedgta.aggregation.unique_sets",
-          "fedgta.aggregation.dedup_reused"}) {
-      const Counter* c = GlobalMetrics().FindCounter(name);
-      if (c == nullptr) continue;
-      plane += StrFormat("  %s: %lld\n", name,
-                         static_cast<long long>(c->value()));
-    }
-    if (!plane.empty()) out += "similarity:\n" + plane;
-  }
+  out += RenderRoundLatencies();
+  out += RenderSimilarityCounters();
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include "core/fedgta_metrics.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
+#include "fed/round_engine.h"
 #include "fed/simulation.h"
 #include "fed/strategy.h"
 #include "fed/worker_fleet.h"
@@ -28,9 +29,8 @@ namespace fed {
 /// RoutedMsg carries it as an opaque string, so the wire protocol never
 /// grows a new MsgType for a new hierarchical phase. Encode/Decode pairs
 /// follow the checkpoint conventions (fixed order, length-prefixed
-/// vectors); bodies are versioned implicitly by the v5 floor of the
-/// aggregator link — a pre-v5 peer is rejected at Hello time, so trailer
-/// gymnastics are unnecessary here.
+/// vectors); bodies are versioned implicitly by the link's protocol
+/// version — a peer at any other version is refused at Hello time.
 
 /// root → agg: everything one regional aggregator needs before it can
 /// accept its worker slice — the worker-facing wire config (relayed
@@ -316,7 +316,11 @@ Status UnpackEnvelope(const net::RoutedMsg& msg, net::EnvelopeKind kind,
 /// Shardable non-FedGTA strategies (fedavg, fedprox) run in relay mode:
 /// the root keeps the Strategy and full survivor weights travel through
 /// the aggregators unchanged — same results, two hops.
-class RootCoordinator {
+///
+/// The root is the hierarchical ClientPlane of the shared RoundEngine
+/// (fed/round_engine.h): Run() hands the engine itself, so sampling, fates,
+/// survivor filtering and eval weighting are the in-process code.
+class RootCoordinator : private ClientPlane {
  public:
   explicit RootCoordinator(const RemoteFedConfig& config);
 
@@ -381,7 +385,19 @@ class RootCoordinator {
   /// train-size fallback) — the same value ShardPlane::MemberWeight uses.
   double MemberWeight(int client_id,
                       const std::vector<double>& confidence_by_id) const;
-  Status Evaluate(int round, double* test_accuracy, double* val_accuracy);
+  // ClientPlane: TrainShard dispatch, the routed Eq. 6/7 plane (or the
+  // relay's central Strategy), EvalShard, and the goodbye down the tree.
+  void Train(int round, const std::vector<int>& participants,
+             const std::vector<ClientFate>& fates,
+             const Deliver& deliver) override;
+  Status Aggregate(int round, const std::vector<int>& survivors,
+                   const std::vector<LocalResult>& results) override;
+  Strategy::CommunicationStats Communication(
+      const std::vector<LocalResult>& results) override;
+  Status Evaluate(int round, std::vector<double>* test_acc,
+                  std::vector<double>* val_acc,
+                  std::vector<char>* evaluated) override;
+  void Finish() override;
   std::string RenderStatus(const std::string& command) const;
 
   RemoteFedConfig config_;
@@ -404,6 +420,8 @@ class RootCoordinator {
   /// Per-survivor confidence of the current round, indexed by client id
   /// (root-side copy for Eq. 7 weight sums).
   std::vector<double> confidence_by_id_;
+  /// The current round's per-aggregator slices (Train → Aggregate).
+  std::vector<ShardRoundState> round_shards_;
 };
 
 }  // namespace fed

@@ -14,6 +14,41 @@ FederatedDataset MaterializeFederatedDataset(const std::string& dataset,
   return BuildFederatedDataset(std::move(ds), split, split_rng, options);
 }
 
+Status ValidateRemoteConfig(const RemoteFedConfig& config) {
+  const SimulationConfig& sim = config.sim;
+  if (sim.fgl != FglModel::kNone) {
+    return InvalidArgumentError(
+        "FGL model wrappers are not supported in distributed mode");
+  }
+  if (!sim.checkpoint_dir.empty() || sim.resume) {
+    return InvalidArgumentError(
+        "checkpointing is not supported in distributed mode");
+  }
+  if (sim.participation <= 0.0 || sim.participation > 1.0) {
+    return InvalidArgumentError("participation must be in (0, 1]");
+  }
+  if (sim.rounds < 1 || sim.local_epochs < 1) {
+    return InvalidArgumentError("rounds and local_epochs must be >= 1");
+  }
+  if (sim.async) {
+    if (sim.staleness_tau < 0) {
+      return InvalidArgumentError("staleness_tau must be >= 0");
+    }
+    if (!(sim.staleness_decay > 0.0 && sim.staleness_decay <= 1.0)) {
+      return InvalidArgumentError("staleness_decay must be in (0, 1]");
+    }
+  }
+  if (config.compress != "off" &&
+      net::compress::FindCodec(config.compress) == nullptr) {
+    return InvalidArgumentError("unknown compress codec '" + config.compress +
+                                "'");
+  }
+  if (config.compress_topk < 0) {
+    return InvalidArgumentError("compress_topk must be >= 0");
+  }
+  return GetDatasetSpec(config.dataset).status();
+}
+
 net::WireFedConfig ToWireConfig(const RemoteFedConfig& config) {
   net::WireFedConfig wire;
   wire.dataset = config.dataset;

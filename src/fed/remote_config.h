@@ -64,6 +64,13 @@ struct RemoteFedConfig {
   int status_port = -1;
 };
 
+/// The checks every distributed server applies to its config before it
+/// binds: no FGL wrappers or checkpointing, participation in (0, 1],
+/// rounds and local epochs >= 1, valid async staleness knobs, a known wire
+/// codec and top-k, and a registered dataset. Topology checks stay with
+/// each server.
+Status ValidateRemoteConfig(const RemoteFedConfig& config);
+
 /// Projects the worker-relevant slice of `config` into the AssignConfig
 /// payload. Server-only knobs (FedGTA's Eq. 6-7 aggregation options,
 /// transport settings) are deliberately not shipped.

@@ -18,13 +18,14 @@ namespace fedgta {
 /// assignment, and drives the federated rounds by exchanging weights (and
 /// FedGTA H/M uploads) with the workers hosting each participant.
 ///
-/// Faithfulness contract: Run() mirrors Simulation::Run round for round —
-/// the same sampling RNG (seed ^ 0x517), the same sorted participant lists,
-/// and every reduction (survivor filtering, loss sum, aggregation input
-/// order, eval weighting) performed in participant/client order — while the
-/// workers replicate the executor's client-side semantics. With healthy
-/// workers the returned curve is bit-identical to the in-process simulation
-/// of the same config (the loopback test pins this).
+/// Faithfulness contract: Run() is a thin wrapper over the same RoundEngine
+/// (fed/round_engine.h) the in-process Simulation drives, so sampling,
+/// fates, survivor filtering, aggregation input order and eval weighting
+/// are literally the same code. Only the ClientPlane differs: here it is
+/// the WorkerFleet, whose workers replicate the executor's client-side
+/// semantics. With healthy workers the returned curve is bit-identical to
+/// the in-process simulation of the same config (the loopback test pins
+/// this).
 ///
 /// Failure mapping: an unreachable worker, a broken connection, or a blown
 /// `rpc.deadline_ms` (the straggler deadline) turns the affected
@@ -36,15 +37,10 @@ namespace fedgta {
 /// discarded here.
 ///
 /// Async runtime (config.sim.async; DESIGN.md §5i): instead of the hard
-/// round barrier, train requests are enqueued onto per-worker feed threads
-/// and completed updates stream into an AsyncUpdateQueue; round t
-/// aggregates after WaitDispatchedThrough(t - staleness_tau), admitting
-/// updates at most `staleness_tau` rounds stale (discounted by
-/// `staleness_decay`^staleness) and dropping older ones. Injected
-/// stragglers deliver their (late) payload StragglerDelay rounds after
-/// dispatch rather than being discarded. With staleness_tau = 0 the wait
-/// rule degenerates to the full barrier and the run is bit-identical to
-/// the synchronous path — the in-process Simulation stays the oracle.
+/// round barrier, the fleet plane enqueues train requests onto per-worker
+/// feed threads whose completed updates stream into the engine's
+/// AsyncUpdateQueue. With staleness_tau = 0 the wait rule degenerates to
+/// the full barrier and the run is bit-identical to the synchronous path.
 class RemoteCoordinator {
  public:
   explicit RemoteCoordinator(const RemoteFedConfig& config);
@@ -70,14 +66,6 @@ class RemoteCoordinator {
   /// Accepts workers, exchanges Hello/AssignConfig/ConfigAck, initializes
   /// the strategy from the reported common init weights.
   Status Handshake();
-  /// The async round loop (see class comment). Called by Run() after the
-  /// handshake when `config.sim.async` is set; fills `result`'s curve and
-  /// totals in place of the synchronous loop.
-  Status RunAsyncRounds(SimulationResult* result);
-  /// Distributed mirror of Simulation::Evaluate: every client is evaluated
-  /// on its hosting worker; reduction runs in client order. Clients hosted
-  /// by dead workers are skipped (with healthy workers: none).
-  void Evaluate(double* test_accuracy, double* val_accuracy);
   /// Renders one status-endpoint reply (runs on the endpoint's thread).
   std::string RenderStatus(const std::string& command) const;
 

@@ -76,7 +76,12 @@ using SimulationResult = fed::RunResult;
 /// of a FederatedDataset. Evaluation is the data-size-weighted accuracy of
 /// each client's served model on its local test set (the standard subgraph
 /// FL protocol; for global-model strategies this equals evaluating the
-/// global model).
+/// global model). Run() drives a RoundEngine (fed/round_engine.h) over
+/// the in-process client plane: participants train concurrently on the
+/// shared pool through RoundExecutor. With `config.async` the same engine
+/// is the deterministic oracle of the distributed async runtime: training
+/// still runs under a per-round barrier and stragglers arrive
+/// StragglerDelay rounds late through the AsyncUpdateQueue.
 class Simulation {
  public:
   /// `data` must outlive the simulation. The strategy is owned.
@@ -104,17 +109,6 @@ class Simulation {
   Status LoadCheckpoint(const std::string& path);
 
  private:
-  /// Weighted test/val accuracy across clients with each client's served
-  /// parameters.
-  void Evaluate(double* test_accuracy, double* val_accuracy);
-
-  /// The async round loop (config_.async): the in-process oracle for the
-  /// distributed async runtime. Training still runs under a per-round
-  /// barrier — asynchrony is virtual (stragglers arrive StragglerDelay
-  /// rounds late through the AsyncUpdateQueue) — so admission decisions,
-  /// and therefore the whole run, are deterministic for any tau.
-  SimulationResult RunAsync();
-
   /// Atomically writes the full simulation state after `completed_rounds`.
   Status SaveCheckpoint(const std::string& path, int completed_rounds,
                         const Rng& sampling_rng, double best_val,

@@ -29,29 +29,12 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     FEDGTA_RETURN_IF_ERROR(accepted.status());
     net::RpcChannel channel(std::move(*accepted), options.rpc);
     net::HelloMsg hello;
-    FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &hello));
+    FEDGTA_RETURN_IF_ERROR(
+        net::ReceiveHello(channel.socket(), net::NodeRole::kWorker, &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
-    if (hello.protocol_version < net::kMinProtocolVersion ||
-        hello.protocol_version > net::kProtocolVersion) {
-      net::ErrorMsg err;
-      err.message =
-          "protocol versions " + std::to_string(net::kMinProtocolVersion) +
-          ".." + std::to_string(net::kProtocolVersion) +
-          " accepted, worker speaks " +
-          std::to_string(hello.protocol_version);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
-    }
-    if (hello.node_role != static_cast<uint32_t>(net::NodeRole::kWorker)) {
-      net::ErrorMsg err;
-      err.message = "expected a worker connection, peer announced role " +
-                    std::to_string(hello.node_role);
-      (void)net::SendMessage(channel.socket(), err);
-      return FailedPreconditionError(err.message);
-    }
     // Codec negotiation: the requested codec if this worker advertised it,
-    // raw otherwise (a v3 hello advertises nothing). A raw outcome builds
-    // no Link at all, so those connections ship the legacy bytes.
+    // raw otherwise. A raw outcome builds no Link at all, so those
+    // connections ship uncompressed bytes.
     net::compress::CodecId negotiated = net::compress::CodecId::kRaw;
     if (options.compress != "off") {
       const net::compress::Codec* requested =
@@ -72,8 +55,6 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     assign.worker_index = options.worker_index_base + w;
     assign.codec_id = static_cast<uint32_t>(negotiated);
     assign.compress_topk = options.compress_topk;
-    assign.peer_version = hello.protocol_version;
-    link.peer_version = hello.protocol_version;
     if (negotiated != net::compress::CodecId::kRaw) {
       link.compress = std::make_unique<net::compress::Link>(
           net::compress::FindCodec(negotiated), options.compress_topk);

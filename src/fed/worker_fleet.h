@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,13 +32,15 @@ struct WorkerLink {
   /// that path's bytes exactly the legacy wire format. Touched only by
   /// the one thread currently driving this worker's channel.
   std::unique_ptr<net::compress::Link> compress;
-  /// Hello protocol version of this worker (v3 peers never see v4
-  /// message trailers).
-  uint32_t peer_version = net::kProtocolVersion;
   /// Shared with the published fleet status (the endpoint may outlive a
   /// rebuilt fleet).
   std::shared_ptr<WorkerHealth> health = std::make_shared<WorkerHealth>();
 };
+
+/// A fresh copy of a served parameter vector — what a download ships.
+inline std::vector<float> CopyParams(std::span<const float> params) {
+  return std::vector<float>(params.begin(), params.end());
+}
 
 /// One worker's row in a status-endpoint fleet table.
 struct WorkerStatusEntry {
@@ -75,8 +78,8 @@ class WorkerFleet {
 
   /// Accepts one worker per `ownership` entry (ownership[w] = the
   /// ascending client ids worker w hosts; ids are global, < num_clients)
-  /// and completes the handshake with each. Enforces protocol version
-  /// bounds, worker role, and cross-worker parameter-count agreement.
+  /// and completes the handshake with each. Enforces the protocol
+  /// version, worker role, and cross-worker parameter-count agreement.
   Status Accept(net::ServerSocket& server, int num_clients,
                 const std::vector<std::vector<int>>& ownership,
                 const WorkerFleetOptions& options);

@@ -61,8 +61,8 @@ class RawCodec final : public Codec {
 
   void Encode(std::span<const float> values, const TensorSpec& spec,
               serialize::Writer* w) const override {
-    // Identity: exactly the legacy WriteFloatVec bytes, so a raw-negotiated
-    // connection is bit-identical to a pre-v4 one.
+    // Identity: exactly the WriteFloatVec bytes, so a raw-negotiated
+    // connection ships what an uncompressed one does.
     w->WriteFloatVec(values);
     if (spec.reconstruction != nullptr) {
       spec.reconstruction->assign(values.begin(), values.end());

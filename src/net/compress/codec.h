@@ -52,10 +52,10 @@ enum class CodecId : uint8_t {
 constexpr uint32_t CapabilityBit(CodecId id) {
   return 1u << static_cast<uint32_t>(id);
 }
-/// Every codec this build implements (a v4 worker's default advertisement).
+/// Every codec this build implements (a worker's default advertisement).
 uint32_t AllCapabilities();
 /// Picks the connection codec: `requested` if the peer advertised it,
-/// otherwise raw (the v3 peer case — an empty mask — always lands here).
+/// otherwise raw (an empty mask always lands here).
 CodecId Negotiate(CodecId requested, uint32_t peer_capabilities);
 
 /// Per-tensor parameters threaded into Encode/Decode. Only the delta codec

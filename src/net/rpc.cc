@@ -119,22 +119,20 @@ void AddRecvSavedBytes(int64_t saved) {
 void HelloMsg::Encode(serialize::Writer* w, compress::Link* /*link*/) const {
   w->WriteU32(protocol_version);
   w->WriteI64(t_send_us);
-  // The dialer does not know the peer's version yet, so it always writes
-  // its newest layout; the receiver's TrailerReader tolerates the short
-  // buffers of older dialers instead.
-  TrailerWriter t(w, kProtocolVersion);
-  t.U32(4, codec_capabilities);
-  t.U32(5, node_role);
+  w->WriteU32(codec_capabilities);
+  w->WriteU32(node_role);
 }
 Status HelloMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&protocol_version));
+  if (protocol_version != kProtocolVersion) {
+    // Another version's layout: leave the fields at their defaults and
+    // skip the body so the receiver can refuse the peer by version.
+    r->SkipRest();
+    return OkStatus();
+  }
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&t_send_us));
-  // A v3 hello ends here; no capabilities means raw after negotiation,
-  // and no role means worker.
-  TrailerReader t(r);
-  t.U32(&codec_capabilities, 0);
-  t.U32(&node_role, 0);
-  return t.status();
+  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_capabilities));
+  return r->ReadU32(&node_role);
 }
 
 void WireFedConfig::Encode(serialize::Writer* w) const {
@@ -221,11 +219,8 @@ void AssignConfigMsg::Encode(serialize::Writer* w,
   w->WriteI64(hello_recv_us);
   w->WriteI64(assign_send_us);
   w->WriteI32(worker_index);
-  // The v4 trailer would read as trailing bytes to a v3 peer's strict
-  // AtEnd check, so it only ships when the Hello said v4+.
-  TrailerWriter t(w, peer_version);
-  t.U32(4, codec_id);
-  t.I32(4, compress_topk);
+  w->WriteU32(codec_id);
+  w->WriteI32(compress_topk);
 }
 Status AssignConfigMsg::Decode(serialize::Reader* r,
                                compress::Link* /*link*/) {
@@ -234,10 +229,8 @@ Status AssignConfigMsg::Decode(serialize::Reader* r,
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&assign_send_us));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&worker_index));
-  TrailerReader t(r);
-  t.U32(&codec_id, 0);
-  t.I32(&compress_topk, 0);
-  return t.status();
+  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_id));
+  return r->ReadI32(&compress_topk);
 }
 
 void ConfigAckMsg::Encode(serialize::Writer* w,
@@ -401,6 +394,24 @@ Result<MsgType> ReadMsgType(serialize::Reader* reader, TraceContext* ctx) {
   FEDGTA_RETURN_IF_ERROR(reader->ReadI32(&envelope.round));
   if (ctx != nullptr) *ctx = envelope;
   return static_cast<MsgType>(raw);
+}
+
+Status ReceiveHello(Socket& sock, NodeRole role, HelloMsg* hello) {
+  FEDGTA_RETURN_IF_ERROR(ExpectMessage(sock, hello));
+  ErrorMsg err;
+  if (hello->protocol_version != kProtocolVersion) {
+    err.message = "protocol version " + std::to_string(kProtocolVersion) +
+                  " required, peer speaks " +
+                  std::to_string(hello->protocol_version);
+  } else if (hello->node_role != static_cast<uint32_t>(role)) {
+    err.message = "expected node role " +
+                  std::to_string(static_cast<uint32_t>(role)) +
+                  ", peer announced role " + std::to_string(hello->node_role);
+  } else {
+    return OkStatus();
+  }
+  (void)SendMessage(sock, err);
+  return FailedPreconditionError(err.message);
 }
 
 RpcChannel::RpcChannel(Socket sock, const RpcOptions& options)

@@ -55,21 +55,21 @@ namespace net {
 /// codec capability bits; AssignConfig answers with the negotiated codec
 /// id and top-k so both ends build matching compress::Links, and the
 /// tensor fields of Train/Eval messages are codec-encoded on active links.
-/// A v3 peer advertises nothing, negotiates raw, and sees bit-identical
-/// v3 bytes — the server still accepts kMinProtocolVersion.
 ///
 /// v5: hierarchical aggregation (DESIGN.md §5k). Hello gains a `node_role`
-/// trailer so the root can tell aggregators from mis-wired workers, and a
+/// field so the root can tell aggregators from mis-wired workers, and a
 /// single generic `Routed` envelope carries every root ↔ aggregator
 /// exchange (ShardAssign, SignatureExchange, CandidatePairs,
 /// PartialAggregate, ...) as a kind-tagged nested body instead of growing
 /// one MsgType per feature. The worker ↔ (root|aggregator) protocol is
 /// unchanged — a worker cannot tell whether its server is the root or a
 /// regional aggregator.
+///
+/// Every binary ships from one tree, so a server speaks exactly
+/// kProtocolVersion: Hello and AssignConfig have one fixed layout, and a
+/// peer announcing any other version is refused at Hello (ReceiveHello).
 
 inline constexpr uint32_t kProtocolVersion = 5;
-/// Oldest peer version the server still speaks (v3 = pre-compression).
-inline constexpr uint32_t kMinProtocolVersion = 3;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -87,84 +87,20 @@ enum class MsgType : uint32_t {
 
 const char* MsgTypeName(MsgType type);
 
-/// Version-gated trailer fields, shared by every message that grew after
-/// v1. Historically Hello and AssignConfig each hand-rolled its own
-/// "append when the peer is new enough / read what's left" loop and the
-/// three copies drifted; this pair now owns both directions.
-///
-/// Writing: each field names the protocol version that introduced it and
-/// is appended only when the peer speaks that version or newer. Senders
-/// that always write their newest layout (Hello: the sender does not know
-/// the peer version yet) pass kProtocolVersion as the peer version.
-///
-/// Reading: fields are consumed in declaration order until the buffer
-/// ends; the remaining fields keep their caller-supplied defaults (an
-/// older peer simply stopped writing earlier). Bytes that are present must
-/// still parse — a buffer ending mid-field is an error, surfaced through
-/// status().
-///
-/// The byte layouts are pinned: net_test encodes v3/v4-shaped messages
-/// against hand-written reference byte streams, so a refactor here cannot
-/// silently change what an older peer sees.
-class TrailerWriter {
- public:
-  TrailerWriter(serialize::Writer* w, uint32_t peer_version)
-      : w_(w), peer_version_(peer_version) {}
-  void U32(uint32_t min_version, uint32_t v) {
-    if (peer_version_ >= min_version) w_->WriteU32(v);
-  }
-  void I32(uint32_t min_version, int32_t v) {
-    if (peer_version_ >= min_version) w_->WriteI32(v);
-  }
-  void I64(uint32_t min_version, int64_t v) {
-    if (peer_version_ >= min_version) w_->WriteI64(v);
-  }
-
- private:
-  serialize::Writer* w_;
-  uint32_t peer_version_;
-};
-
-class TrailerReader {
- public:
-  explicit TrailerReader(serialize::Reader* r) : r_(r) {}
-  void U32(uint32_t* out, uint32_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadU32(out));
-  }
-  void I32(int32_t* out, int32_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadI32(out));
-  }
-  void I64(int64_t* out, int64_t def = 0) {
-    *out = def;
-    if (More()) Take(r_->ReadI64(out));
-  }
-  Status status() const { return status_; }
-
- private:
-  bool More() const { return status_.ok() && !r_->AtEnd(); }
-  void Take(Status s) {
-    if (!s.ok()) status_ = std::move(s);
-  }
-  serialize::Reader* r_;
-  Status status_ = OkStatus();
-};
-
 /// Worker -> server, immediately after connecting. `t_send_us` is the
 /// worker's trace clock at send time — the t0 of the NTP-style offset
 /// estimate the worker computes once AssignConfig echoes the server-side
 /// timestamps back.
 struct HelloMsg {
   static constexpr MsgType kType = MsgType::kHello;
+  /// Read first and alone when it is not kProtocolVersion: another
+  /// version's body layout is unknown, so the rest is skipped and the
+  /// receiver refuses the peer (see ReceiveHello).
   uint32_t protocol_version = kProtocolVersion;
   int64_t t_send_us = 0;
-  /// v4: compress::CapabilityBit mask of codecs this worker can decode.
-  /// A v3 hello ends before this field; the decoder leaves it 0, which
-  /// Negotiate maps to raw.
+  /// compress::CapabilityBit mask of codecs this worker can decode.
   uint32_t codec_capabilities = 0;
-  /// v5: what kind of process is dialing in (a NodeRole value). Workers
-  /// never set it, so the default keeps every pre-v5 peer a worker.
+  /// What kind of process is dialing in (a NodeRole value).
   uint32_t node_role = 0;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;
@@ -250,15 +186,11 @@ struct AssignConfigMsg {
   /// This worker's 0-based index in the fleet (stable process identity for
   /// trace pids and the worker.<id>.* metrics namespace).
   int32_t worker_index = 0;
-  /// v4: the codec the server negotiated for this connection (a
+  /// The codec the server negotiated for this connection (a
   /// compress::CodecId the worker advertised, or raw) and the delta top-k
-  /// knob. Only encoded when `peer_version` >= 4 — a v3 worker must see a
-  /// byte-identical v3 AssignConfig.
+  /// knob.
   uint32_t codec_id = 0;
   int32_t compress_topk = 0;
-  /// Not serialized: the Hello version of the peer this message is being
-  /// encoded for, which gates the v4 trailer.
-  uint32_t peer_version = kProtocolVersion;
 
   void Encode(serialize::Writer* w, compress::Link* link = nullptr) const;
   Status Decode(serialize::Reader* r, compress::Link* link = nullptr);
@@ -462,6 +394,12 @@ Result<MsgType> ReadMsgType(serialize::Reader* reader,
 /// decode codec-encoded tensor fields.
 template <typename M>
 Status ExpectMessage(Socket& sock, M* out, compress::Link* link = nullptr);
+
+/// Server side of the first exchange on a new connection: receives the
+/// peer's Hello and admits it only at kProtocolVersion and in `role`. A
+/// refused peer gets an ErrorMsg saying why, and the call returns
+/// FailedPrecondition.
+Status ReceiveHello(Socket& sock, NodeRole role, HelloMsg* hello);
 
 /// Per-message retry/backoff knobs shared by the channel and the worker's
 /// connect loop.

@@ -1,8 +1,9 @@
 // Async federation runtime (DESIGN.md §5i): AsyncUpdateQueue bookkeeping
 // and admission rules, the pure straggler-delay schedule, the staleness
-// discount, and the in-process oracle — Simulation::RunAsync must be
-// bit-identical to the synchronous loop at tau = 0 and must stale-drop
-// exactly the updates the FailurePlan predicts at tau > 0.
+// discount, and the in-process oracle — an async Simulation::Run (the
+// RoundEngine's async admission path) must be bit-identical to the
+// synchronous run at tau = 0 and must stale-drop exactly the updates the
+// FailurePlan predicts at tau > 0.
 
 #include <atomic>
 #include <chrono>

@@ -109,8 +109,11 @@ TEST(FailureDeathTest, ResultValueOnErrorAborts) {
 class CheckpointCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One file per test: ctest runs these cases as parallel processes.
     path_ = (std::filesystem::temp_directory_path() /
-             "fedgta_corruption_test.ckpt")
+             (std::string("fedgta_corruption_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".ckpt"))
                 .string();
     serialize::Writer writer;
     writer.WriteString("state");

@@ -268,11 +268,24 @@ TEST(HierarchyTest, FailureInjectionAndSamplingStayIdentical) {
   config.sim.failure.crash_rate = 0.15;
   const HierarchicalOutcome out = RunHierarchical(config);
   ASSERT_TRUE(out.result.ok()) << out.result.status();
+  // Sparse evaluation: rounds 3 and 5 only (every third, plus the final).
+  RemoteFedConfig sparse = config;
+  sparse.sim.rounds = 5;
+  sparse.sim.eval_every = 3;
+  const HierarchicalOutcome sparse_out = RunHierarchical(sparse);
+  ASSERT_TRUE(sparse_out.result.ok()) << sparse_out.result.status();
   const SimulationResult local = RunInProcess(config);
   EXPECT_GT(local.total_dropped_clients + local.total_straggler_clients +
                 local.total_crashed_clients,
             0);
   ExpectBitIdentical(*out.result, local);
+  const SimulationResult sparse_local = RunInProcess(sparse);
+  ASSERT_EQ(sparse_local.curve.size(), 2u);
+  EXPECT_EQ(sparse_local.curve[0].round, 3);
+  std::string diff;
+  EXPECT_TRUE(
+      fed::DeterministicEquals(*sparse_out.result, sparse_local, &diff))
+      << diff;
 }
 
 TEST(HierarchyTest, RelayedFedAvgIsBitIdenticalToSimulation) {

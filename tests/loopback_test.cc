@@ -166,11 +166,23 @@ TEST(LoopbackTest, FailureInjectionMinibatchAndSamplingStayIdentical) {
   config.sim.failure.crash_rate = 0.15;
   Result<SimulationResult> remote = RunRemote(config);
   ASSERT_TRUE(remote.ok()) << remote.status();
+  // Sparse evaluation: rounds 3 and 5 only (every third, plus the final).
+  RemoteFedConfig sparse = config;
+  sparse.sim.rounds = 5;
+  sparse.sim.eval_every = 3;
+  Result<SimulationResult> sparse_remote = RunRemote(sparse);
+  ASSERT_TRUE(sparse_remote.ok()) << sparse_remote.status();
   const SimulationResult local = RunInProcess(config);
   EXPECT_GT(local.total_dropped_clients + local.total_straggler_clients +
                 local.total_crashed_clients,
             0);
   ExpectBitIdentical(*remote, local);
+  const SimulationResult sparse_local = RunInProcess(sparse);
+  ASSERT_EQ(sparse_local.curve.size(), 2u);
+  EXPECT_EQ(sparse_local.curve[0].round, 3);
+  std::string diff;
+  EXPECT_TRUE(fed::DeterministicEquals(*sparse_remote, sparse_local, &diff))
+      << diff;
 }
 
 TEST(LoopbackTest, FedProxOverTwoWorkersIsBitIdenticalToSimulation) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fed/worker_fleet.h"
 #include "net/compress/codec.h"
 #include "net/frame.h"
 #include "net/rpc.h"
@@ -539,31 +540,11 @@ TEST(RpcTest, HelloCodecCapabilitiesRoundTrip) {
   EXPECT_EQ(got.codec_capabilities, compress::AllCapabilities());
 }
 
-TEST(RpcTest, V3ShapedHelloDecodesToZeroCapabilities) {
-  // A v3 hello body stops after the clock stamp — no capabilities word.
-  serialize::Writer w;
-  w.WriteU32(3u);       // protocol_version
-  w.WriteI64(123456);   // t_send_us
-  const std::string encoded = w.Encode();
-  Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  HelloMsg hello;
-  ASSERT_TRUE(hello.Decode(&*reader).ok());
-  EXPECT_EQ(hello.protocol_version, 3u);
-  EXPECT_EQ(hello.t_send_us, 123456);
-  // No capabilities advertised means every negotiation lands on raw.
-  EXPECT_EQ(hello.codec_capabilities, 0u);
-  EXPECT_EQ(compress::Negotiate(compress::CodecId::kDelta,
-                                hello.codec_capabilities),
-            compress::CodecId::kRaw);
-}
-
 TEST(RpcTest, AssignConfigV4TrailerRoundTrips) {
   AssignConfigMsg in;
   in.worker_index = 1;
   in.codec_id = static_cast<uint32_t>(compress::CodecId::kDelta);
   in.compress_topk = 64;
-  in.peer_version = 4;
   serialize::Writer w;
   in.Encode(&w);
   const std::string encoded = w.Encode();
@@ -574,26 +555,6 @@ TEST(RpcTest, AssignConfigV4TrailerRoundTrips) {
   EXPECT_TRUE(reader->AtEnd());
   EXPECT_EQ(out.codec_id, static_cast<uint32_t>(compress::CodecId::kDelta));
   EXPECT_EQ(out.compress_topk, 64);
-}
-
-TEST(RpcTest, V3PeerGetsNoAssignConfigTrailer) {
-  // Encoding for a v3 peer must stop exactly where the v3 decoder stops:
-  // its strict AtEnd check rejects any trailing bytes.
-  AssignConfigMsg in;
-  in.codec_id = static_cast<uint32_t>(compress::CodecId::kFp16);
-  in.compress_topk = 8;
-  in.peer_version = 3;
-  serialize::Writer w;
-  in.Encode(&w);
-  const std::string encoded = w.Encode();
-  Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  AssignConfigMsg out;
-  ASSERT_TRUE(out.Decode(&*reader).ok());
-  EXPECT_TRUE(reader->AtEnd());
-  // The v4-only fields decode to their raw defaults.
-  EXPECT_EQ(out.codec_id, 0u);
-  EXPECT_EQ(out.compress_topk, 0);
 }
 
 TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
@@ -639,11 +600,8 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
 }
 
 TEST(RpcTest, HelloEncodesByteIdenticalToVersionReferences) {
-  // Downgrade proof for the shared TrailerWriter: the Hello body must be
-  // byte-identical to the hand-written layout of each protocol version.
-  // v3 stops after the clock stamp, v4 appends the capabilities word, v5
-  // appends the role word. The dialer always writes its newest layout, so
-  // the full encode must equal the v5 reference exactly.
+  // The Hello body is pinned to the hand-written v5 layout: version, clock
+  // stamp, capabilities word, role word.
   HelloMsg hello;
   hello.t_send_us = 777;
   hello.codec_capabilities = 0x0Fu;
@@ -654,43 +612,81 @@ TEST(RpcTest, HelloEncodesByteIdenticalToVersionReferences) {
   serialize::Writer v5;
   v5.WriteU32(kProtocolVersion);
   v5.WriteI64(777);
-  v5.WriteU32(0x0Fu);  // v4 trailer field
-  v5.WriteU32(1u);     // v5 trailer field: NodeRole::kAggregator
+  v5.WriteU32(0x0Fu);  // codec capabilities
+  v5.WriteU32(1u);     // NodeRole::kAggregator
   EXPECT_EQ(w.Encode(), v5.Encode());
 }
 
-TEST(RpcTest, V4ShapedHelloDecodesRoleToWorker) {
-  // A v4 hello ends after the capabilities word; the missing v5 role
-  // field must default to worker so pre-v5 fleets keep their meaning.
-  serialize::Writer w;
-  w.WriteU32(4u);
-  w.WriteI64(42);
-  w.WriteU32(compress::AllCapabilities());
-  const std::string encoded = w.Encode();
-  Result<serialize::Reader> reader = serialize::Reader::FromBuffer(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  HelloMsg hello;
-  ASSERT_TRUE(hello.Decode(&*reader).ok());
-  EXPECT_TRUE(reader->AtEnd());
-  EXPECT_EQ(hello.codec_capabilities, compress::AllCapabilities());
-  EXPECT_EQ(hello.node_role, static_cast<uint32_t>(NodeRole::kWorker));
-}
-
-TEST(RpcTest, AssignConfigV5BytesMatchV4) {
-  // v5 added no AssignConfig fields, so encoding for a v5 peer must be
-  // byte-identical to the v4 layout — the trailer only grows when a
-  // version actually appends something.
+TEST(RpcTest, AssignConfigEncodesByteIdenticalToV5Reference) {
+  // The AssignConfig body is pinned to the hand-written v5 layout: the
+  // wire config, hosted ids, clock stamps, worker index, codec, top-k.
   AssignConfigMsg in;
+  in.client_ids = {2, 5};
+  in.hello_recv_us = 11;
+  in.assign_send_us = 22;
   in.worker_index = 3;
   in.codec_id = static_cast<uint32_t>(compress::CodecId::kInt8);
   in.compress_topk = 16;
-  serialize::Writer w4;
-  in.peer_version = 4;
-  in.Encode(&w4);
-  serialize::Writer w5;
-  in.peer_version = 5;
-  in.Encode(&w5);
-  EXPECT_EQ(w4.Encode(), w5.Encode());
+  serialize::Writer w;
+  in.Encode(&w);
+
+  serialize::Writer v5;
+  in.config.Encode(&v5);
+  v5.WriteI32Vec(std::vector<int32_t>{2, 5});
+  v5.WriteI64(11);
+  v5.WriteI64(22);
+  v5.WriteI32(3);
+  v5.WriteU32(static_cast<uint32_t>(compress::CodecId::kInt8));
+  v5.WriteI32(16);
+  EXPECT_EQ(w.Encode(), v5.Encode());
+}
+
+// The layout a v4 worker sent: its Hello ended after the capabilities word.
+struct V4ShapedHello {
+  static constexpr MsgType kType = MsgType::kHello;
+  void Encode(serialize::Writer* w, compress::Link* /*link*/) const {
+    w->WriteU32(4u);
+    w->WriteI64(42);
+    w->WriteU32(compress::AllCapabilities());
+  }
+};
+
+// Dials a WorkerFleet with `hello` and expects the version refusal on both
+// ends: Accept fails with FailedPrecondition, the peer reads an ErrorMsg.
+template <typename Hello>
+void ExpectHelloRefusedByVersion(const Hello& hello) {
+  Result<ServerSocket> server = ServerSocket::Listen(0);
+  ASSERT_TRUE(server.ok()) << server.status();
+  Status peer_saw = OkStatus();
+  std::thread worker([&] {
+    Result<Socket> sock = Connect("127.0.0.1", server->port(), 2000);
+    ASSERT_TRUE(sock.ok()) << sock.status();
+    ASSERT_TRUE(SendMessage(*sock, hello).ok());
+    AssignConfigMsg assign;
+    peer_saw = ExpectMessage(*sock, &assign);
+  });
+  WorkerFleet fleet;
+  WorkerFleetOptions options;
+  options.accept_timeout_ms = 5000;
+  const Status accepted = fleet.Accept(*server, 1, {{0}}, options);
+  worker.join();
+  EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
+  EXPECT_NE(accepted.message().find("peer speaks 4"), std::string::npos)
+      << accepted;
+  EXPECT_EQ(peer_saw.code(), StatusCode::kFailedPrecondition) << peer_saw;
+  EXPECT_NE(peer_saw.message().find("protocol version 5 required"),
+            std::string::npos)
+      << peer_saw;
+}
+
+TEST(RpcTest, Version4HelloIsRefusedWithAnErrorMsg) {
+  // Both the short body a v4 worker sent and a full v5-shaped body that
+  // names version 4.
+  ExpectHelloRefusedByVersion(V4ShapedHello());
+  HelloMsg hello;
+  hello.protocol_version = 4;
+  hello.codec_capabilities = compress::AllCapabilities();
+  ExpectHelloRefusedByVersion(hello);
 }
 
 TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {

@@ -99,10 +99,15 @@ INSTANTIATE_TEST_SUITE_P(
 // Partitioners: every node assigned exactly once, all parts non-empty, for
 // many (seed, k) combinations.
 
+// gtest names each case by the raw bytes of its parameter, so the struct must
+// have no padding: uninitialised padding bytes would give the test a different
+// name in every process. A 64-bit k fills what used to be four padding bytes
+// with zeros, keeping the names of the cases that happened to print zeros.
 struct PartitionCase {
-  int k;
+  int64_t k;
   uint64_t seed;
 };
+static_assert(sizeof(PartitionCase) == 2 * sizeof(uint64_t));
 
 class PartitionPropertyTest : public ::testing::TestWithParam<PartitionCase> {
  protected:
