@@ -30,7 +30,7 @@ namespace {
 
 // --- Verbatim replica of the seed's scalar server path (pre-plane) ---
 
-// Seed MomentSimilarityMatrix: full clients² buffer, one scalar
+// Seed similarity matrix: full clients² buffer, one scalar
 // CosineSimilarity per pair (which re-derives both norms per call).
 Matrix SeedSimilarityMatrix(const std::vector<std::vector<float>>& moments,
                             const std::vector<int>& participants) {
@@ -170,28 +170,29 @@ ArmResult RunPlaneArm(const Round& round, SimilarityMode mode) {
 
 // --- Sharded arm: the hierarchical Eq. 6/7 plane, in process -------------
 //
-// K ShardPlanes run the regional-aggregator exchange (DESIGN.md §5k)
-// without the network: stage, signature concat, candidate prescreen
-// against the global frame, cross-shard moment fetch, set admission, and
-// globally-deduplicated Eq. 7 (local sets aggregated in place, cross-shard
-// sets via the chained ascending-shard partial pass). The point of the arm
-// is the memory claim: no process ever materializes the full participant
-// state, so per-process peak state must sit strictly below the
-// single-server plane's — while staying bit-identical to it.
+// K ShardPlanes run the regional-aggregator round (DESIGN.md §5k) without
+// the network: stage, core Eq. 6 over the broadcast survivor frame limited
+// to each shard's rows, and globally-deduplicated Eq. 7 (local sets
+// aggregated in place, cross-shard sets via the chained ascending-shard
+// partial pass). The point of the arm is the memory claim: no process
+// ever materializes the other shards' parameters, so per-process peak
+// state must sit strictly below the single-server plane's — while staying
+// bit-identical to it.
 
 struct ShardedResult {
   double seconds = 0.0;
   int64_t unique_sets = 0;
-  /// Largest per-shard participant-state footprint: staged params +
-  /// normalized moment rows + fetched remote rows + the installed global
-  /// signature frame.
+  /// Largest per-shard participant-state footprint: staged params and
+  /// moments + the broadcast moment frame + its LSH signatures.
   int64_t peak_state_bytes = 0;
 };
 
-int64_t ShardStateBytes(int staged, int remote_rows, size_t global_sig_words) {
+int64_t ShardStateBytes(int staged, int frame_rows,
+                        const SimilarityPlaneOptions& plane) {
+  const int64_t sig_words = (plane.lsh_signature_bits + 63) / 64;
   return static_cast<int64_t>(staged) * (kParamDim + kMomentDim) * 4 +
-         static_cast<int64_t>(remote_rows) * kMomentDim * 4 +
-         static_cast<int64_t>(global_sig_words) * 8;
+         static_cast<int64_t>(frame_rows) * kMomentDim * 4 +
+         static_cast<int64_t>(frame_rows) * sig_words * 8;
 }
 
 ShardedResult RunShardedArm(const Round& round, int num_shards,
@@ -206,7 +207,6 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
   WallTimer timer;
 
   std::vector<std::unique_ptr<fed::ShardPlane>> planes;
-  std::vector<uint64_t> global_sigs;
   for (int a = 0; a < num_shards; ++a) {
     planes.push_back(std::make_unique<fed::ShardPlane>(
         n, topo.ClientShard(a), options, round.train_sizes));
@@ -221,47 +221,28 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
       uploads.push_back(std::move(up));
     }
     planes.back()->StageRound(std::move(uploads));
-    const std::vector<uint64_t> sigs = planes.back()->Signatures();
-    global_sigs.insert(global_sigs.end(), sigs.begin(), sigs.end());
   }
-
-  std::vector<double> confidences;
-  confidences.reserve(static_cast<size_t>(n));
+  std::vector<std::vector<float>> frame;
+  frame.reserve(static_cast<size_t>(n));
   for (int id : round.participants) {
-    confidences.push_back(round.metrics[static_cast<size_t>(id)].confidence);
-  }
-  std::vector<fed::ShardPlane::Candidates> candidates;
-  for (int a = 0; a < num_shards; ++a) {
-    planes[static_cast<size_t>(a)]->InstallGlobalFrame(
-        round.participants, confidences, global_sigs);
-    candidates.push_back(
-        planes[static_cast<size_t>(a)]->ComputeCandidates(/*use_lsh=*/true));
-  }
-  for (int a = 0; a < num_shards; ++a) {
-    std::vector<std::vector<int>> by_owner(static_cast<size_t>(num_shards));
-    for (int id : candidates[static_cast<size_t>(a)].remote_wanted) {
-      by_owner[static_cast<size_t>(topo.AggregatorOf(id))].push_back(id);
-    }
-    for (int src = 0; src < num_shards; ++src) {
-      const std::vector<int>& ids = by_owner[static_cast<size_t>(src)];
-      if (ids.empty()) continue;
-      planes[static_cast<size_t>(a)]->InstallRemoteRows(
-          ids, planes[static_cast<size_t>(src)]->ExportRows(ids));
-    }
+    frame.push_back(round.metrics[static_cast<size_t>(id)].moments);
   }
 
-  // Global dedup, the root's Phase 5-7 in miniature: one Eq. 7 evaluation
-  // per distinct canonical set, local sets short-circuited on their shard.
+  // Global dedup, the root's group phases in miniature: one Eq. 7
+  // evaluation per distinct canonical set, local sets short-circuited on
+  // their shard, cross-shard weight sums in canonical order.
   std::map<std::vector<int>, std::vector<float>> groups;
   for (int a = 0; a < num_shards; ++a) {
     const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
-    const auto sets = plane.BuildSets(candidates[static_cast<size_t>(a)]);
-    FEDGTA_CHECK_EQ(sets.size(), plane.staged().size());
-    for (size_t r = 0; r < sets.size(); ++r) {
+    const Result<std::vector<std::vector<int>>> sets =
+        plane.BuildSets(round.participants, frame, nullptr);
+    FEDGTA_CHECK(sets.ok()) << sets.status();
+    FEDGTA_CHECK_EQ(sets->size(), plane.staged().size());
+    for (size_t r = 0; r < sets->size(); ++r) {
       const int id = plane.staged()[r];
-      FEDGTA_CHECK(sets[r] == oracle.sets[static_cast<size_t>(id)])
+      FEDGTA_CHECK((*sets)[r] == oracle.sets[static_cast<size_t>(id)])
           << "sharded set diverges from single-server at client " << id;
-      std::vector<int> canonical = sets[r];
+      std::vector<int> canonical = (*sets)[r];
       std::sort(canonical.begin(), canonical.end());
       auto it = groups.find(canonical);
       if (it == groups.end()) {
@@ -272,7 +253,10 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
         if (local) {
           acc = plane.AggregateLocalSet(canonical);
         } else {
-          const double weight_sum = plane.WeightSum(canonical);
+          double weight_sum = 0.0;
+          for (int m : canonical) {
+            weight_sum += round.metrics[static_cast<size_t>(m)].confidence;
+          }
           acc.assign(kParamDim, 0.0f);
           for (int src = 0; src < num_shards; ++src) {
             planes[static_cast<size_t>(src)]->AccumulatePartial(
@@ -295,9 +279,7 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
         result.peak_state_bytes,
         ShardStateBytes(
             static_cast<int>(planes[static_cast<size_t>(a)]->staged().size()),
-            static_cast<int>(
-                candidates[static_cast<size_t>(a)].remote_wanted.size()),
-            global_sigs.size()));
+            n, options.similarity));
   }
   return result;
 }

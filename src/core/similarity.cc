@@ -35,6 +35,90 @@ void RecordSetStats(const SimilarityStats& stats) {
       .Increment();
 }
 
+/// Resolved LSH geometry for one (ε, plane) pair.
+struct LshShape {
+  /// Packed signature width: words 64-bit words = bits sign bits.
+  int64_t words = 1;
+  int64_t bits = 64;
+  /// Prune threshold in Hamming bits: a pair survives the prescreen iff
+  /// its signature distance is <= h_max (bits keeps every pair).
+  int64_t h_max = 64;
+};
+
+LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
+  LshShape shape;
+  shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);
+  shape.bits = shape.words * 64;
+  // The prune threshold in Hamming bits. A keep-limit >= 1 keeps every
+  // pair (ε <= -1 admits everything; the screen must not prune).
+  const double t_eps = std::acos(std::clamp(epsilon, -1.0, 1.0)) / kPi;
+  const double keep_limit = t_eps + plane.lsh_margin;
+  shape.h_max = keep_limit >= 1.0
+                    ? shape.bits
+                    : static_cast<int64_t>(keep_limit *
+                                           static_cast<double>(shape.bits));
+  return shape;
+}
+
+/// Packed sign-random-projection signatures of the normalized moment rows,
+/// row-major `normalized.rows() x shape.words`. The projection matrix
+/// depends only on (plane.lsh_seed, moment dimension) and each row is
+/// hashed independently.
+std::vector<uint64_t> ComputeLshSignatures(
+    const Matrix& normalized, const SimilarityPlaneOptions& plane) {
+  const int64_t p = normalized.rows();
+  const int64_t d = normalized.cols();
+  const LshShape shape = LshShapeFor(/*epsilon=*/1.0, plane);
+  const int64_t words = shape.words;
+  const int64_t bits = shape.bits;
+  std::vector<uint64_t> sig(static_cast<size_t>(p * words), 0);
+  // Shared random hyperplanes: one projection GEMM, then sign-pack. The
+  // plane depends only on (seed, moment dimension), so every round with
+  // the same upload shape reuses the same hash family.
+  Rng rng(plane.lsh_seed);
+  Matrix planes(d, bits);
+  planes.GaussianInit(rng, 1.0f);
+  const Matrix proj = MatMul(normalized, planes);
+  ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
+    for (int64_t a = lo; a < hi; ++a) {
+      const float* row = proj.data() + a * bits;
+      uint64_t* out = sig.data() + a * words;
+      for (int64_t w = 0; w < words; ++w) {
+        uint64_t word = 0;
+        const float* src = row + w * 64;
+        for (int64_t l = 0; l < 64; ++l) {
+          if (src[l] >= 0.0f) word |= uint64_t{1} << l;
+        }
+        out[w] = word;
+      }
+    }
+  });
+  return sig;
+}
+
+/// One exact similarity row through the backend GEMM: sims (resized to
+/// 1 x gathered.rows()) gets the cosine of `row` (length gathered.cols(),
+/// already normalized) against every gathered row. Bit-identical per
+/// element to the full-block sweep (chunk-invariance contract of
+/// GemmRows), which keeps LSH candidate checks on the exact oracle's
+/// arithmetic.
+void ExactSimilarityRow(const float* row, const Matrix& gathered,
+                        Matrix* sims) {
+  const int64_t c = gathered.rows();
+  const int64_t d = gathered.cols();
+  sims->EnsureShape(1, c);
+  linalg::GemmCall call;
+  call.a = {row, d, 1};
+  call.b = {gathered.data(), 1, d};  // transposed gathered view
+  call.m = 1;
+  call.n = c;
+  call.k = d;
+  call.alpha = 1.0f;
+  call.beta = 0.0f;
+  call.c = sims->data();
+  linalg::ActiveBackend().GemmRows(call, 0, 1);
+}
+
 /// Row panel height for the exact sweep: bounds the transient block buffer
 /// to ~8 MiB regardless of the participant count.
 int64_t SweepPanelRows(int64_t p) {
@@ -47,15 +131,16 @@ int64_t SweepPanelRows(int64_t p) {
 /// (chunk-invariance contract of GemmRows).
 std::vector<std::vector<int>> SetsViaExactSweep(
     const Matrix& normalized, const std::vector<int>& participants,
-    int num_clients, double epsilon, SimilarityStats* stats) {
+    ParticipantRows rows, int num_clients, double epsilon,
+    SimilarityStats* stats) {
   FEDGTA_PHASE_SCOPE("similarity");
   const int64_t p = normalized.rows();
   const float eps = static_cast<float>(epsilon);
   std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
   const int64_t panel = SweepPanelRows(p);
   Matrix block;
-  for (int64_t r0 = 0; r0 < p; r0 += panel) {
-    const int64_t r1 = std::min<int64_t>(p, r0 + panel);
+  for (int64_t r0 = rows.begin; r0 < rows.end; r0 += panel) {
+    const int64_t r1 = std::min<int64_t>(rows.end, r0 + panel);
     block.EnsureShape(r1 - r0, p);
     GemmRowBlockABt(normalized, r0, r1, normalized, &block);
     ParallelForChunked(
@@ -76,7 +161,7 @@ std::vector<std::vector<int>> SetsViaExactSweep(
         },
         /*min_chunk=*/1);
   }
-  stats->pairs_exact += p * (p - 1);
+  stats->pairs_exact += (rows.end - rows.begin) * (p - 1);
   stats->mode_used = SimilarityMode::kExact;
   return sets;
 }
@@ -88,7 +173,8 @@ std::vector<std::vector<int>> SetsViaExactSweep(
 /// the backend, so surviving pairs get bit-identical similarity values).
 std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
                                          const std::vector<int>& participants,
-                                         int num_clients, double epsilon,
+                                         ParticipantRows rows, int num_clients,
+                                         double epsilon,
                                          const SimilarityPlaneOptions& plane,
                                          SimilarityStats* stats) {
   const int64_t p = normalized.rows();
@@ -109,7 +195,7 @@ std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
   std::atomic<int64_t> pruned{0};
   std::atomic<int64_t> exact{0};
   ParallelForChunked(
-      0, p,
+      rows.begin, rows.end,
       [&](int64_t lo, int64_t hi) {
         int64_t local_pruned = 0;
         int64_t local_exact = 0;
@@ -201,70 +287,6 @@ std::string_view SimilarityModeName(SimilarityMode mode) {
       return "lsh";
   }
   return "exact";
-}
-
-LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
-  LshShape shape;
-  shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);
-  shape.bits = shape.words * 64;
-  // The prune threshold in Hamming bits. A keep-limit >= 1 keeps every
-  // pair (ε <= -1 admits everything; the screen must not prune).
-  const double t_eps = std::acos(std::clamp(epsilon, -1.0, 1.0)) / kPi;
-  const double keep_limit = t_eps + plane.lsh_margin;
-  shape.h_max = keep_limit >= 1.0
-                    ? shape.bits
-                    : static_cast<int64_t>(keep_limit *
-                                           static_cast<double>(shape.bits));
-  return shape;
-}
-
-std::vector<uint64_t> ComputeLshSignatures(
-    const Matrix& normalized, const SimilarityPlaneOptions& plane) {
-  const int64_t p = normalized.rows();
-  const int64_t d = normalized.cols();
-  const LshShape shape = LshShapeFor(/*epsilon=*/1.0, plane);
-  const int64_t words = shape.words;
-  const int64_t bits = shape.bits;
-  std::vector<uint64_t> sig(static_cast<size_t>(p * words), 0);
-  // Shared random hyperplanes: one projection GEMM, then sign-pack. The
-  // plane depends only on (seed, moment dimension), so every round with
-  // the same upload shape reuses the same hash family.
-  Rng rng(plane.lsh_seed);
-  Matrix planes(d, bits);
-  planes.GaussianInit(rng, 1.0f);
-  const Matrix proj = MatMul(normalized, planes);
-  ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
-    for (int64_t a = lo; a < hi; ++a) {
-      const float* row = proj.data() + a * bits;
-      uint64_t* out = sig.data() + a * words;
-      for (int64_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        const float* src = row + w * 64;
-        for (int64_t l = 0; l < 64; ++l) {
-          if (src[l] >= 0.0f) word |= uint64_t{1} << l;
-        }
-        out[w] = word;
-      }
-    }
-  });
-  return sig;
-}
-
-void ExactSimilarityRow(const float* row, const Matrix& gathered,
-                        Matrix* sims) {
-  const int64_t c = gathered.rows();
-  const int64_t d = gathered.cols();
-  sims->EnsureShape(1, c);
-  linalg::GemmCall call;
-  call.a = {row, d, 1};
-  call.b = {gathered.data(), 1, d};  // transposed gathered view
-  call.m = 1;
-  call.n = c;
-  call.k = d;
-  call.alpha = 1.0f;
-  call.beta = 0.0f;
-  call.c = sims->data();
-  linalg::ActiveBackend().GemmRows(call, 0, 1);
 }
 
 Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
@@ -361,48 +383,25 @@ double SimilarityQuantile(const SimilarityBlock& block, double q) {
   return QuantileOfPairValues(&values, q);
 }
 
-double SimilarityQuantile(const Matrix& similarity,
-                          const std::vector<int>& participants, double q) {
-  FEDGTA_CHECK_GE(q, 0.0);
-  FEDGTA_CHECK_LE(q, 1.0);
-  std::vector<float> values;
-  for (size_t a = 0; a < participants.size(); ++a) {
-    for (size_t b = a + 1; b < participants.size(); ++b) {
-      values.push_back(similarity(participants[a], participants[b]));
-    }
-  }
-  return QuantileOfPairValues(&values, q);
-}
-
-Matrix MomentSimilarityMatrix(const std::vector<std::vector<float>>& moments,
-                              const std::vector<int>& participants) {
-  const int n = static_cast<int>(moments.size());
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  Matrix sim(n, n);
-  const int64_t p = block.values.rows();
-  for (int64_t a = 0; a < p; ++a) {
-    const int i = block.participants[static_cast<size_t>(a)];
-    for (int64_t b = 0; b < p; ++b) {
-      sim(i, block.participants[static_cast<size_t>(b)]) =
-          block.values(a, b);
-    }
-  }
-  return sim;
-}
-
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon) {
   SimilarityPlaneOptions exact;
-  return BuildAggregationSets(moments, participants, epsilon, exact);
+  return BuildAggregationSets(
+      moments, participants, epsilon, exact,
+      ParticipantRows{0, static_cast<int64_t>(participants.size())});
 }
 
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon,
-    const SimilarityPlaneOptions& plane, SimilarityStats* stats) {
+    const SimilarityPlaneOptions& plane, ParticipantRows rows,
+    SimilarityStats* stats) {
   const Matrix normalized = StackNormalizedMoments(moments, participants);
   const int64_t p = normalized.rows();
+  FEDGTA_CHECK(0 <= rows.begin && rows.begin <= rows.end && rows.end <= p)
+      << "participant rows [" << rows.begin << ", " << rows.end
+      << ") outside [0, " << p << ")";
   SimilarityMode mode = plane.mode;
   if (mode == SimilarityMode::kAuto) {
     mode = p >= plane.auto_lsh_min_participants ? SimilarityMode::kLsh
@@ -412,10 +411,10 @@ std::vector<std::vector<int>> BuildAggregationSets(
   const int num_clients = static_cast<int>(moments.size());
   std::vector<std::vector<int>> sets =
       mode == SimilarityMode::kLsh
-          ? SetsViaLsh(normalized, participants, num_clients, epsilon, plane,
-                       &local)
-          : SetsViaExactSweep(normalized, participants, num_clients, epsilon,
-                              &local);
+          ? SetsViaLsh(normalized, participants, rows, num_clients, epsilon,
+                       plane, &local)
+          : SetsViaExactSweep(normalized, participants, rows, num_clients,
+                              epsilon, &local);
   RecordSetStats(local);
   if (stats != nullptr) {
     stats->pairs_exact += local.pairs_exact;

@@ -51,36 +51,14 @@ struct SimilarityStats {
   SimilarityMode mode_used = SimilarityMode::kExact;
 };
 
-/// Resolved LSH geometry for one (ε, plane) pair. Deterministic in its
-/// inputs, so every process of a sharded fleet derives the same shape from
-/// the shipped plane options (DESIGN.md §5k).
-struct LshShape {
-  /// Packed signature width: words 64-bit words = bits sign bits.
-  int64_t words = 1;
-  int64_t bits = 64;
-  /// Prune threshold in Hamming bits: a pair survives the prescreen iff
-  /// its signature distance is <= h_max (bits keeps every pair).
-  int64_t h_max = 64;
+/// Half-open range [begin, end) of positions in a participants list: the
+/// rows whose aggregation sets one set-building call produces. A regional
+/// aggregator passes its shard's contiguous slice of the round's survivor
+/// frame (DESIGN.md §5k); single-server callers pass every row.
+struct ParticipantRows {
+  int64_t begin = 0;
+  int64_t end = 0;
 };
-LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane);
-
-/// Packed sign-random-projection signatures of the normalized moment rows,
-/// row-major `normalized.rows() x shape.words`. The projection matrix
-/// depends only on (plane.lsh_seed, moment dimension) and each row is
-/// hashed independently, so a shard slice of the global row matrix yields
-/// exactly the rows a whole-fleet computation would — the contract that
-/// lets regional aggregators exchange signatures instead of moments.
-std::vector<uint64_t> ComputeLshSignatures(const Matrix& normalized,
-                                           const SimilarityPlaneOptions& plane);
-
-/// One exact similarity row through the backend GEMM: sims (resized to
-/// 1 x gathered.rows()) gets the cosine of `row` (length gathered.cols(),
-/// already normalized) against every gathered row. Bit-identical per
-/// element to the full-block sweep (chunk-invariance contract of
-/// GemmRows), which is what keeps LSH and sharded candidate checks on the
-/// exact oracle's arithmetic.
-void ExactSimilarityRow(const float* row, const Matrix& gathered,
-                        Matrix* sims);
 
 /// Compact participants-indexed cosine block: values(a, b) is the cosine
 /// similarity of participants[a] and participants[b]. Unlike the legacy
@@ -115,15 +93,6 @@ std::vector<std::vector<int>> SetsFromSimilarityBlock(
 /// q-quantile (q in [0, 1]) of the off-diagonal pairwise similarities.
 /// Returns 0 with fewer than two participants.
 double SimilarityQuantile(const SimilarityBlock& block, double q);
-/// Legacy full-matrix overload (indexed by client id).
-double SimilarityQuantile(const Matrix& similarity,
-                          const std::vector<int>& participants, double q);
-
-/// Legacy full clients x clients similarity matrix: the compact block
-/// scattered to client-id indexing with unit participant diagonal and 0
-/// elsewhere. Kept for inspection and tests; hot paths use the block.
-Matrix MomentSimilarityMatrix(const std::vector<std::vector<float>>& moments,
-                              const std::vector<int>& participants);
 
 /// Aggregation sets, paper Eq. (6): for each participant i,
 ///   I_i = { j participant : cos(M_i, M_j) >= epsilon } ∪ {i}.
@@ -141,10 +110,17 @@ std::vector<std::vector<int>> BuildAggregationSets(
 /// false negatives (see lsh_margin). Candidate generation is timed under
 /// the `similarity_candidates` phase and counted in the
 /// `fedgta.similarity.pairs_{exact,pruned}` counters.
+///
+/// Only the participants at positions `rows` get sets (every other id's
+/// set is empty), each judged against all participants. Every row's set,
+/// pair counts and similarity values are independent of the range (and of
+/// the thread count), so calls over disjoint ranges covering the list
+/// reproduce one full call exactly; kAuto decides on the full list's size.
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon,
-    const SimilarityPlaneOptions& plane, SimilarityStats* stats = nullptr);
+    const SimilarityPlaneOptions& plane, ParticipantRows rows,
+    SimilarityStats* stats = nullptr);
 
 }  // namespace fedgta
 

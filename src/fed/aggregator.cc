@@ -72,9 +72,6 @@ class Session {
   Result<net::RoutedMsg> HandleRouted(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleInitModel(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleTrainShard(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleSignatureExchange(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleCandidatePairs(const net::RoutedMsg& req);
-  Result<net::RoutedMsg> HandleMomentFetch(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleSetBuild(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandlePartialAggregate(const net::RoutedMsg& req);
   Result<net::RoutedMsg> HandleGroupDeliver(const net::RoutedMsg& req);
@@ -106,8 +103,8 @@ class Session {
   std::vector<std::vector<float>> personal_;
 
   // --- per-round Eq. 6/7 exchange state ---
-  ShardPlane::Candidates candidates_;
-  bool candidates_ready_ = false;
+  /// Round whose uploads the plane has staged (-1 before any TrainShard).
+  int staged_round_ = -1;
   /// SetReport order -> staged global ids owning that cross-shard set.
   std::vector<std::vector<int>> cross_rows_;
 
@@ -326,7 +323,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   done.losses.reserve(n);
   done.num_samples.reserve(n);
   done.confidences.reserve(n);
-  if (relay_) done.weights.resize(n);
+  (relay_ ? done.weights : done.moments).resize(n);
   std::vector<ShardUpload> uploads;
   for (size_t i = 0; i < n; ++i) {
     const bool ok = rpc_status[i].ok();
@@ -347,6 +344,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
     if (relay_) {
       done.weights[i] = std::move(resp.weights);
     } else {
+      done.moments[i] = resp.moments;
       ShardUpload up;
       up.client_id = participants[i];
       up.params = std::move(resp.weights);
@@ -357,8 +355,7 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   }
   if (!relay_) {
     plane_->StageRound(std::move(uploads));
-    candidates_ = ShardPlane::Candidates();
-    candidates_ready_ = false;
+    staged_round_ = req.round;
     cross_rows_.clear();
   }
   net::RoutedMsg reply = MakeEnvelope(EK::kTrainShardDone, req.round, done);
@@ -366,96 +363,34 @@ Result<net::RoutedMsg> Session::HandleTrainShard(const net::RoutedMsg& req) {
   return reply;
 }
 
-Result<net::RoutedMsg> Session::HandleSignatureExchange(
-    const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("SignatureExchange in relay mode");
-  }
-  SignatureBlockBody block;
-  block.rows = static_cast<int64_t>(plane_->staged().size());
-  block.words = LshShapeFor(gta_.epsilon, gta_.similarity).words;
-  block.signatures = plane_->Signatures();
-  return MakeEnvelope(EK::kSignatureBlock, req.round, block);
-}
-
-Result<net::RoutedMsg> Session::HandleCandidatePairs(
-    const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("CandidatePairs in relay mode");
-  }
-  CandidatePairsBody frame;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kCandidatePairs, &frame));
-  if (frame.survivors.size() != frame.confidences.size()) {
-    return InvalidArgumentError("survivor frame misaligned");
-  }
-  if (frame.use_lsh) {
-    const LshShape shape = LshShapeFor(gta_.epsilon, gta_.similarity);
-    if (frame.words != shape.words ||
-        frame.signatures.size() !=
-            frame.survivors.size() * static_cast<size_t>(shape.words)) {
-      return InvalidArgumentError("survivor signature block misshapen");
-    }
-  }
-  plane_->InstallGlobalFrame(
-      std::vector<int>(frame.survivors.begin(), frame.survivors.end()),
-      std::move(frame.confidences), std::move(frame.signatures));
-  candidates_ = plane_->ComputeCandidates(frame.use_lsh);
-  candidates_ready_ = true;
-  CandidateWantsBody wants;
-  wants.wanted.assign(candidates_.remote_wanted.begin(),
-                      candidates_.remote_wanted.end());
-  wants.pairs_exact = candidates_.pairs_exact;
-  wants.pairs_pruned = candidates_.pairs_pruned;
-  return MakeEnvelope(EK::kCandidateWants, req.round, wants);
-}
-
-Result<net::RoutedMsg> Session::HandleMomentFetch(const net::RoutedMsg& req) {
-  if (relay_) {
-    return InvalidArgumentError("MomentFetch in relay mode");
-  }
-  MomentFetchBody body;
-  FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kMomentFetch, &body));
-  const std::vector<int>& staged = plane_->staged();
-  std::vector<int> ids;
-  ids.reserve(body.ids.size());
-  for (int32_t id : body.ids) {
-    if (!std::binary_search(staged.begin(), staged.end(), id)) {
-      return InvalidArgumentError("moment fetch for unstaged client " +
-                                  std::to_string(id));
-    }
-    ids.push_back(id);
-  }
-  MomentBlockBody block;
-  block.rows = plane_->ExportRows(ids);
-  return MakeEnvelope(EK::kMomentBlock, req.round, block);
-}
-
 Result<net::RoutedMsg> Session::HandleSetBuild(const net::RoutedMsg& req) {
   if (relay_) {
     return InvalidArgumentError("SetBuild in relay mode");
   }
-  if (!candidates_ready_) {
-    return InvalidArgumentError("SetBuild before CandidatePairs");
+  if (req.round != staged_round_) {
+    return InvalidArgumentError("SetBuild for round " +
+                                std::to_string(req.round) +
+                                ", which this shard did not train");
   }
   SetBuildBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kSetBuild, &body));
-  if (body.ids.size() != body.rows.size()) {
-    return InvalidArgumentError("remote row block misaligned");
-  }
-  plane_->InstallRemoteRows(
-      std::vector<int>(body.ids.begin(), body.ids.end()),
-      std::move(body.rows));
-  const std::vector<std::vector<int>> sets = plane_->BuildSets(candidates_);
+  SimilarityStats stats;
+  Result<std::vector<std::vector<int>>> built =
+      plane_->BuildSets(body.survivors, std::move(body.moments), &stats);
+  FEDGTA_RETURN_IF_ERROR(built.status());
+  const std::vector<std::vector<int>>& sets = *built;
   const std::vector<int>& staged = plane_->staged();
 
   // Shard-local dedup, mirroring the single-server canonical-set keying:
   // a set wholly inside the shard can only be owned by this shard's rows,
-  // so aggregating it here (WeightSum + ascending Axpy = the single-server
+  // so aggregating it here (weight sum + ascending Axpy = the single-server
   // stream) is globally correct. Boundary-crossing sets go up canonical,
   // deduplicated per shard, in first-appearance order.
   std::map<std::vector<int32_t>, std::vector<int>> local_groups;
   std::map<std::vector<int32_t>, size_t> cross_index;
   SetReportBody report;
+  report.pairs_exact = stats.pairs_exact;
+  report.pairs_pruned = stats.pairs_pruned;
   cross_rows_.clear();
   for (size_t a = 0; a < sets.size(); ++a) {
     std::vector<int32_t> canonical(sets[a].begin(), sets[a].end());
@@ -578,12 +513,6 @@ Result<net::RoutedMsg> Session::HandleRouted(const net::RoutedMsg& req) {
       return HandleInitModel(req);
     case EK::kTrainShard:
       return HandleTrainShard(req);
-    case EK::kSignatureExchange:
-      return HandleSignatureExchange(req);
-    case EK::kCandidatePairs:
-      return HandleCandidatePairs(req);
-    case EK::kMomentFetch:
-      return HandleMomentFetch(req);
     case EK::kSetBuild:
       return HandleSetBuild(req);
     case EK::kPartialAggregate:

@@ -38,10 +38,11 @@ struct AggregatorOptions {
 /// slice via ShardAssign, accepts its workers through the shared
 /// WorkerFleet handshake, and then serves the root's routed envelopes —
 /// TrainShard dispatch, the shard-local half of the Eq. 6/7 plane
-/// (ShardPlane), the chained partial passes, and EvalShard. In the FedGTA
-/// plane the personalized parameter table lives here, sharded: neither
-/// the root nor any single process ever materializes the full
-/// participant state.
+/// (ShardPlane: core Eq. 6 for the shard's rows of the broadcast survivor
+/// frame, local-set Eq. 7), the chained partial passes, and EvalShard. In
+/// the FedGTA plane the personalized parameter table lives here, sharded:
+/// neither the root nor any single process ever holds every participant's
+/// parameters.
 ///
 /// Relay mode (fedavg/fedprox) reduces this process to a fan-out hop:
 /// the root's global download rides in on TrainShard/EvalShard and the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,26 +16,6 @@
 namespace fedgta {
 namespace fed {
 namespace {
-
-// serialize.h has no u64-vector primitive; signature words go out as an
-// explicit count + loop (same bytes a WriteU64Vec would produce).
-void WriteU64List(const std::vector<uint64_t>& v, serialize::Writer* w) {
-  w->WriteU64(v.size());
-  for (uint64_t x : v) w->WriteU64(x);
-}
-
-Status ReadU64List(serialize::Reader* r, std::vector<uint64_t>* out) {
-  uint64_t n = 0;
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&n));
-  if (n > r->remaining() / sizeof(uint64_t)) {
-    return InvalidArgumentError("truncated u64 list");
-  }
-  out->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FEDGTA_RETURN_IF_ERROR(r->ReadU64(&(*out)[i]));
-  }
-  return OkStatus();
-}
 
 void WriteFloatVecList(const std::vector<std::vector<float>>& v,
                        serialize::Writer* w) {
@@ -180,6 +159,7 @@ void TrainShardDoneBody::Encode(serialize::Writer* w) const {
   w->WriteDoubleVec(losses);
   w->WriteI64Vec(num_samples);
   w->WriteDoubleVec(confidences);
+  WriteFloatVecList(moments, w);
   WriteFloatVecList(weights, w);
   w->WriteI64(upload_floats);
   w->WriteI64(download_floats);
@@ -199,85 +179,34 @@ Status TrainShardDoneBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&losses));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64Vec(&num_samples));
   FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
+  FEDGTA_RETURN_IF_ERROR(ReadFloatVecList(r, &moments));
   FEDGTA_RETURN_IF_ERROR(ReadFloatVecList(r, &weights));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&upload_floats));
   return r->ReadI64(&download_floats);
 }
 
-void SignatureBlockBody::Encode(serialize::Writer* w) const {
-  w->WriteI64(rows);
-  w->WriteI64(words);
-  WriteU64List(signatures, w);
-}
-
-Status SignatureBlockBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&rows));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadU64List(r, &signatures);
-}
-
-void CandidatePairsBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(survivors);
-  w->WriteDoubleVec(confidences);
-  w->WriteBool(use_lsh);
-  w->WriteI64(words);
-  WriteU64List(signatures, w);
-}
-
-Status CandidatePairsBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&survivors));
-  FEDGTA_RETURN_IF_ERROR(r->ReadDoubleVec(&confidences));
-  FEDGTA_RETURN_IF_ERROR(r->ReadBool(&use_lsh));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&words));
-  return ReadU64List(r, &signatures);
-}
-
-void CandidateWantsBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(wanted);
-  w->WriteI64(pairs_exact);
-  w->WriteI64(pairs_pruned);
-}
-
-Status CandidateWantsBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&wanted));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&pairs_exact));
-  return r->ReadI64(&pairs_pruned);
-}
-
-void MomentFetchBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(ids);
-}
-
-Status MomentFetchBody::Decode(serialize::Reader* r) {
-  return r->ReadI32Vec(&ids);
-}
-
-void MomentBlockBody::Encode(serialize::Writer* w) const {
-  WriteFloatVecList(rows, w);
-}
-
-Status MomentBlockBody::Decode(serialize::Reader* r) {
-  return ReadFloatVecList(r, &rows);
-}
-
 void SetBuildBody::Encode(serialize::Writer* w) const {
-  w->WriteI32Vec(ids);
-  WriteFloatVecList(rows, w);
+  w->WriteI32Vec(survivors);
+  WriteFloatVecList(moments, w);
 }
 
 Status SetBuildBody::Decode(serialize::Reader* r) {
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&ids));
-  return ReadFloatVecList(r, &rows);
+  FEDGTA_RETURN_IF_ERROR(r->ReadI32Vec(&survivors));
+  return ReadFloatVecList(r, &moments);
 }
 
 void SetReportBody::Encode(serialize::Writer* w) const {
   WriteI32VecList(sets, w);
   w->WriteI64(local_unique);
+  w->WriteI64(pairs_exact);
+  w->WriteI64(pairs_pruned);
 }
 
 Status SetReportBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(ReadI32VecList(r, &sets));
-  return r->ReadI64(&local_unique);
+  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&local_unique));
+  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&pairs_exact));
+  return r->ReadI64(&pairs_pruned);
 }
 
 void PartialAggregateBody::Encode(serialize::Writer* w) const {
@@ -618,99 +547,55 @@ double RootCoordinator::MemberWeight(
              : confidence_by_id[static_cast<size_t>(client_id)];
 }
 
-Status RootCoordinator::AggregateFedGta(int round,
-                                        const std::vector<int>& survivors,
-                                        const std::vector<double>& confidences,
-                                        std::vector<ShardRoundState>* shards) {
+Status RootCoordinator::AggregateFedGta(
+    int round, const std::vector<int>& survivors,
+    const std::vector<LocalResult>& results) {
   MetricsRegistry& metrics = GlobalMetrics();
-  const SimilarityPlaneOptions& plane = gta_.similarity;
   const size_t gp = survivors.size();
-  const bool use_lsh =
-      plane.mode == SimilarityMode::kLsh ||
-      (plane.mode == SimilarityMode::kAuto &&
-       static_cast<int>(gp) >= plane.auto_lsh_min_participants);
-  const LshShape shape = LshShapeFor(gta_.epsilon, plane);
 
-  // Which shards staged survivors this round (ascending survivors are
-  // shard-major, so a two-pointer walk partitions them).
+  // Which shards staged survivors this round.
   std::vector<char> active(aggs_.size(), 0);
-  std::vector<int64_t> shard_rows(aggs_.size(), 0);
-  {
-    size_t cursor = 0;
+  for (int id : survivors) {
     for (size_t a = 0; a < aggs_.size(); ++a) {
-      while (cursor < gp && aggs_[a].clients.contains(survivors[cursor])) {
-        ++shard_rows[a];
-        ++cursor;
-      }
-      active[a] = shard_rows[a] > 0 ? 1 : 0;
+      if (aggs_[a].clients.contains(id)) active[a] = 1;
     }
   }
-  const auto abort_on = [this](const std::vector<char>& who,
-                               const std::vector<Status>& status,
-                               const char* phase) -> Status {
-    for (size_t a = 0; a < status.size(); ++a) {
-      if (who[a] && !status[a].ok()) {
+
+  // Phase 1: broadcast the survivor frame; every shard runs core Eq. 6
+  // for its own rows and reports the canonical sets that cross its
+  // boundary (sets wholly inside it are aggregated there).
+  net::RoutedMsg set_build;
+  {
+    SetBuildBody frame;
+    frame.survivors.assign(survivors.begin(), survivors.end());
+    frame.moments.reserve(gp);
+    for (const LocalResult& r : results) {
+      frame.moments.push_back(r.metrics.moments);
+    }
+    set_build = MakeEnvelope(net::EnvelopeKind::kSetBuild, round, frame);
+  }
+  {
+    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
+      net::RoutedMsg response;
+      FEDGTA_RETURN_IF_ERROR(CallAggregator(a, set_build, &response));
+      return UnpackEnvelope(response, net::EnvelopeKind::kSetReport,
+                            &round_shards_[a].report);
+    });
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (active[a] && !status[a].ok()) {
         return InternalError("aggregator " + std::to_string(a) +
-                             " failed mid-round during " + phase + ": " +
+                             " failed mid-round during set building: " +
                              std::string(status[a].message()));
       }
     }
-    return OkStatus();
-  };
-
-  // Phase 1 (LSH rounds only): collect the shard signature slices; their
-  // shard-order concatenation is the global signature matrix.
-  std::vector<uint64_t> signatures;
-  if (use_lsh) {
-    std::vector<SignatureBlockBody> blocks(aggs_.size());
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kSignatureExchange, round),
-          &response));
-      FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-          response, net::EnvelopeKind::kSignatureBlock, &blocks[a]));
-      if (blocks[a].rows != shard_rows[a] || blocks[a].words != shape.words ||
-          static_cast<int64_t>(blocks[a].signatures.size()) !=
-              blocks[a].rows * blocks[a].words) {
-        return InvalidArgumentError("signature block shape mismatch");
-      }
-      return OkStatus();
-    });
-    FEDGTA_RETURN_IF_ERROR(abort_on(active, status, "the signature exchange"));
-    signatures.reserve(gp * static_cast<size_t>(shape.words));
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      signatures.insert(signatures.end(), blocks[a].signatures.begin(),
-                        blocks[a].signatures.end());
-    }
-  }
-
-  // Phase 2: broadcast the global survivor frame, collect want-lists.
-  CandidatePairsBody frame;
-  frame.survivors.assign(survivors.begin(), survivors.end());
-  frame.confidences = confidences;
-  frame.use_lsh = use_lsh;
-  frame.words = use_lsh ? shape.words : 0;
-  frame.signatures = signatures;
-  {
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kCandidatePairs, round, frame),
-          &response));
-      return UnpackEnvelope(response, net::EnvelopeKind::kCandidateWants,
-                            &(*shards)[a].wants);
-    });
-    FEDGTA_RETURN_IF_ERROR(
-        abort_on(active, status, "candidate generation"));
   }
   {
     int64_t pairs_exact = 0;
     int64_t pairs_pruned = 0;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       if (!active[a]) continue;
-      pairs_exact += (*shards)[a].wants.pairs_exact;
-      pairs_pruned += (*shards)[a].wants.pairs_pruned;
+      pairs_exact += round_shards_[a].report.pairs_exact;
+      pairs_pruned += round_shards_[a].report.pairs_pruned;
     }
     if (pairs_exact > 0) {
       metrics.GetCounter("fedgta.similarity.pairs_exact")
@@ -722,77 +607,7 @@ Status RootCoordinator::AggregateFedGta(int round,
     }
   }
 
-  // Phase 3: route the wanted normalized rows between shards. The root
-  // holds each row only transiently, keyed by id.
-  std::vector<std::vector<int32_t>> fetch(aggs_.size());
-  {
-    std::vector<char> wanted_flag(
-        static_cast<size_t>(data_.num_clients()), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (!active[a]) continue;
-      for (int32_t id : (*shards)[a].wants.wanted) {
-        if (id < 0 || id >= data_.num_clients()) {
-          return InvalidArgumentError("want-list id out of range");
-        }
-        wanted_flag[static_cast<size_t>(id)] = 1;
-      }
-    }
-    size_t owner = 0;
-    for (int id = 0; id < data_.num_clients(); ++id) {
-      if (!wanted_flag[static_cast<size_t>(id)]) continue;
-      while (!aggs_[owner].clients.contains(id)) ++owner;
-      fetch[owner].push_back(id);
-    }
-  }
-  std::unordered_map<int, std::vector<float>> rows_by_id;
-  {
-    std::vector<char> fetch_active(aggs_.size(), 0);
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      fetch_active[a] = fetch[a].empty() ? 0 : 1;
-    }
-    std::vector<MomentBlockBody> blocks(aggs_.size());
-    std::vector<Status> status =
-        ParallelExchange(fetch_active, [&](size_t a) {
-          MomentFetchBody body;
-          body.ids = fetch[a];
-          net::RoutedMsg response;
-          FEDGTA_RETURN_IF_ERROR(CallAggregator(
-              a, MakeEnvelope(net::EnvelopeKind::kMomentFetch, round, body),
-              &response));
-          FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(
-              response, net::EnvelopeKind::kMomentBlock, &blocks[a]));
-          if (blocks[a].rows.size() != fetch[a].size()) {
-            return InvalidArgumentError("moment block count mismatch");
-          }
-          return OkStatus();
-        });
-    FEDGTA_RETURN_IF_ERROR(abort_on(fetch_active, status, "the moment fetch"));
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      for (size_t k = 0; k < fetch[a].size(); ++k) {
-        rows_by_id[fetch[a][k]] = std::move(blocks[a].rows[k]);
-      }
-    }
-  }
-
-  // Phase 4: ship each shard the rows it wanted; it runs exact Eq. 6
-  // admission and reports the canonical sets that cross its boundary.
-  {
-    std::vector<Status> status = ParallelExchange(active, [&](size_t a) {
-      SetBuildBody body;
-      body.ids = (*shards)[a].wants.wanted;
-      body.rows.reserve(body.ids.size());
-      for (int32_t id : body.ids) body.rows.push_back(rows_by_id.at(id));
-      net::RoutedMsg response;
-      FEDGTA_RETURN_IF_ERROR(CallAggregator(
-          a, MakeEnvelope(net::EnvelopeKind::kSetBuild, round, body),
-          &response));
-      return UnpackEnvelope(response, net::EnvelopeKind::kSetReport,
-                            &(*shards)[a].report);
-    });
-    FEDGTA_RETURN_IF_ERROR(abort_on(active, status, "set building"));
-  }
-
-  // Phase 5: dedup the cross-shard canonical sets globally and compute
+  // Phase 2: dedup the cross-shard canonical sets globally and compute
   // their Eq. 7 weight sums (double-accumulated in canonical order — the
   // single-server group loop's arithmetic).
   struct Group {
@@ -808,8 +623,8 @@ Status RootCoordinator::AggregateFedGta(int round,
     std::map<std::vector<int32_t>, size_t> index;
     for (size_t a = 0; a < aggs_.size(); ++a) {
       if (!active[a]) continue;
-      local_unique += (*shards)[a].report.local_unique;
-      const SetReportBody& report = (*shards)[a].report;
+      local_unique += round_shards_[a].report.local_unique;
+      const SetReportBody& report = round_shards_[a].report;
       for (size_t ri = 0; ri < report.sets.size(); ++ri) {
         auto [it, inserted] =
             index.emplace(report.sets[ri], groups.size());
@@ -839,7 +654,7 @@ Status RootCoordinator::AggregateFedGta(int round,
   metrics.GetCounter("fedgta.aggregation.dedup_reused")
       .Increment(static_cast<int64_t>(gp) - unique_sets);
 
-  // Phase 6: chained Eq. 7 partials, strictly in ascending shard order —
+  // Phase 3: chained Eq. 7 partials, strictly in ascending shard order —
   // each shard folds its members onto the travelling accumulators, which
   // replays the single-server left-associated float sums bit for bit.
   for (size_t a = 0; a < aggs_.size(); ++a) {
@@ -885,7 +700,7 @@ Status RootCoordinator::AggregateFedGta(int round,
     }
   }
 
-  // Phase 7: deliver the finished vectors back to every reporting shard.
+  // Phase 4: deliver the finished vectors back to every reporting shard.
   // A failure here only loses that shard's own personalization (its
   // clients drop from later rounds anyway), so it degrades like a dead
   // worker instead of aborting the run.
@@ -959,6 +774,7 @@ void RootCoordinator::Train(int round, const std::vector<int>& participants,
         shard.done.losses.size() != expect ||
         shard.done.num_samples.size() != expect ||
         shard.done.confidences.size() != expect ||
+        shard.done.moments.size() != (relay_ ? 0 : expect) ||
         (relay_ && shard.done.weights.size() != expect)) {
       aggs_[a].alive = false;
       aggs_[a].health->healthy.store(false, std::memory_order_relaxed);
@@ -970,7 +786,7 @@ void RootCoordinator::Train(int round, const std::vector<int>& participants,
 
   // Reports in shard-major (= participant) order. A dead aggregator maps
   // every shard participant onto the transport-failure dropout semantics.
-  // Only scalars travel in the FedGTA plane; relay mode adds the weights.
+  // The FedGTA plane adds the moments; relay mode adds the weights.
   for (ShardRoundState& shard : round_shards_) {
     for (size_t i = 0; i < shard.participants.size(); ++i) {
       ClientReport report;
@@ -983,7 +799,11 @@ void RootCoordinator::Train(int round, const std::vector<int>& participants,
         report.result.loss = shard.done.losses[i];
         report.result.num_samples = shard.done.num_samples[i];
         report.result.metrics.confidence = shard.done.confidences[i];
-        if (relay_) report.result.params = std::move(shard.done.weights[i]);
+        if (relay_) {
+          report.result.params = std::move(shard.done.weights[i]);
+        } else {
+          report.result.metrics.moments = std::move(shard.done.moments[i]);
+        }
       }
       deliver(std::move(report));
     }
@@ -997,13 +817,10 @@ Status RootCoordinator::Aggregate(int round,
     strategy_->Aggregate(survivors, results);
     return OkStatus();
   }
-  std::vector<double> confidences;
-  confidences.reserve(results.size());
   for (const LocalResult& r : results) {
-    confidences.push_back(r.metrics.confidence);
     confidence_by_id_[static_cast<size_t>(r.client_id)] = r.metrics.confidence;
   }
-  return AggregateFedGta(round, survivors, confidences, &round_shards_);
+  return AggregateFedGta(round, survivors, results);
 }
 
 Strategy::CommunicationStats RootCoordinator::Communication(

@@ -109,16 +109,18 @@ struct TrainShardBody {
 };
 
 /// agg → root: per-participant round outcome, aligned with the request.
-/// In the FedGTA plane only scalars travel — params and moments stay
-/// staged at the aggregator — which is what keeps the root's peak state
-/// independent of the participant count. Relay mode additionally ships
-/// survivor weights (empty vectors elsewhere).
+/// The FedGTA plane also ships each survivor's moment vector (Eq. 5) so
+/// the root can assemble the round's survivor frame; params stay staged at
+/// the aggregator. Relay mode ships survivor weights instead. Tensor lists
+/// are aligned with the request too (empty for non-survivors) or wholly
+/// empty in the other plane.
 struct TrainShardDoneBody {
   std::vector<uint32_t> rpc_ok;
   std::vector<double> seconds;
   std::vector<double> losses;
   std::vector<int64_t> num_samples;
   std::vector<double> confidences;
+  std::vector<std::vector<float>> moments;  // FedGTA survivors only
   std::vector<std::vector<float>> weights;  // relay survivors only
   /// Shard totals of the simulated communication volume, computed at the
   /// aggregator over its survivor results with the base
@@ -130,68 +132,12 @@ struct TrainShardDoneBody {
   Status Decode(serialize::Reader* r);
 };
 
-/// agg → root: packed sign-projection signatures of the shard's staged
-/// rows (row-major rows x words). Concatenated in shard order at the root
-/// they equal the signatures a single server would compute over the full
-/// survivor matrix (per-row hashing; see ComputeLshSignatures).
-struct SignatureBlockBody {
-  int64_t rows = 0;
-  int64_t words = 0;
-  std::vector<uint64_t> signatures;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: the round's global survivor frame — every shard's
-/// survivors ascending (= shard-major), aligned confidences, and the
-/// concatenated signatures when the round runs the LSH prescreen.
-struct CandidatePairsBody {
-  std::vector<int32_t> survivors;
-  std::vector<double> confidences;
-  bool use_lsh = false;
-  int64_t words = 0;
-  std::vector<uint64_t> signatures;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: ascending ids outside this shard whose normalized moment
-/// rows Eq. 6 admission needs here, plus the shard's candidate-generation
-/// counts (each ordered pair is judged from its row's shard exactly once,
-/// so the root's sums equal the single-server counters).
-struct CandidateWantsBody {
-  std::vector<int32_t> wanted;
-  int64_t pairs_exact = 0;
-  int64_t pairs_pruned = 0;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: staged ids whose normalized rows other shards asked for.
-struct MomentFetchBody {
-  std::vector<int32_t> ids;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// agg → root: the fetched rows, aligned with the MomentFetch ids.
-struct MomentBlockBody {
-  std::vector<std::vector<float>> rows;
-
-  void Encode(serialize::Writer* w) const;
-  Status Decode(serialize::Reader* r);
-};
-
-/// root → agg: the remote rows this shard wanted (aligned `ids`/`rows`);
-/// the aggregator then runs exact Eq. 6 admission over its cached
-/// candidates.
+/// root → agg: the round's survivor frame — every survivor's id
+/// (ascending = shard-major) and uploaded moment vector, aligned. Each
+/// aggregator runs core Eq. 6 over the frame for its own rows only.
 struct SetBuildBody {
-  std::vector<int32_t> ids;
-  std::vector<std::vector<float>> rows;
+  std::vector<int32_t> survivors;
+  std::vector<std::vector<float>> moments;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
@@ -203,6 +149,11 @@ struct SetBuildBody {
 struct SetReportBody {
   std::vector<std::vector<int32_t>> sets;
   int64_t local_unique = 0;
+  /// The shard rows' Eq. 6 pair counts; each ordered pair is judged from
+  /// its row's shard exactly once, so the root's sums equal the
+  /// single-server counters.
+  int64_t pairs_exact = 0;
+  int64_t pairs_pruned = 0;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);
@@ -306,12 +257,12 @@ Status UnpackEnvelope(const net::RoutedMsg& msg, net::EnvelopeKind kind,
 /// `config.num_aggregators` regional aggregators (Hello with
 /// node_role = kAggregator), deals each a contiguous client shard and
 /// worker slice via ShardAssign, and drives the per-round envelope
-/// sequence — TrainShard, the signature/candidate/moment/set exchange,
-/// the chained Eq. 7 partial passes, GroupDeliver, EvalShard. The root
-/// never materializes the full participant set: in the FedGTA plane only
-/// scalars, packed signatures, canonical id sets, and per-set
-/// accumulators cross its link, and the run result is bit-identical to
-/// the single-server plane (see fed::DeterministicEquals).
+/// sequence — TrainShard, SetBuild, the chained Eq. 7 partial passes,
+/// GroupDeliver, EvalShard. The root never materializes the participants'
+/// parameters: in the FedGTA plane only scalars, the survivors' moment
+/// vectors, canonical id sets, and per-set accumulators cross its link,
+/// and the run result is bit-identical to the single-server plane (see
+/// fed::DeterministicEquals).
 ///
 /// Shardable non-FedGTA strategies (fedavg, fedprox) run in relay mode:
 /// the root keeps the Strategy and full survivor weights travel through
@@ -360,7 +311,6 @@ class RootCoordinator : private ClientPlane {
     std::vector<ClientFate> fates;
     TrainShardDoneBody done;
     bool trained = false;  // TrainShard exchange succeeded
-    CandidateWantsBody wants;
     SetReportBody report;
   };
 
@@ -379,10 +329,9 @@ class RootCoordinator : private ClientPlane {
       const std::function<Status(size_t)>& fn);
   /// The distributed Eq. 6/7 phase sequence over this round's survivors.
   Status AggregateFedGta(int round, const std::vector<int>& survivors,
-                         const std::vector<double>& confidences,
-                         std::vector<ShardRoundState>* shards);
+                         const std::vector<LocalResult>& results);
   /// Eq. 7 weight of one survivor at the root (confidence, or the
-  /// train-size fallback) — the same value ShardPlane::MemberWeight uses.
+  /// train-size fallback) — the same value the shards weight members by.
   double MemberWeight(int client_id,
                       const std::vector<double>& confidence_by_id) const;
   // ClientPlane: TrainShard dispatch, the routed Eq. 6/7 plane (or the

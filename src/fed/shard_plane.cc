@@ -1,8 +1,8 @@
 #include "fed/shard_plane.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -19,25 +19,14 @@ ShardPlane::ShardPlane(int num_clients, ShardRange shard,
       options_(options),
       train_sizes_(std::move(train_sizes)) {
   FEDGTA_CHECK_EQ(train_sizes_.size(), static_cast<size_t>(num_clients_));
-  confidence_by_id_.assign(static_cast<size_t>(num_clients_), 0.0);
 }
 
 void ShardPlane::StageRound(std::vector<ShardUpload> uploads) {
   staged_.clear();
   params_.clear();
+  moments_.clear();
+  confidences_.clear();
   row_of_.clear();
-  global_survivors_.clear();
-  global_index_.clear();
-  global_sigs_.clear();
-  remote_rows_.clear();
-  std::fill(confidence_by_id_.begin(), confidence_by_id_.end(), 0.0);
-
-  staged_.reserve(uploads.size());
-  params_.reserve(uploads.size());
-  // Scatter the raw moment uploads into an id-indexed table and reuse the
-  // single-server normalizer verbatim — per-row arithmetic, so the shard's
-  // rows are bitwise the rows a whole-fleet stacking would produce.
-  std::vector<std::vector<float>> moments(static_cast<size_t>(num_clients_));
   for (ShardUpload& up : uploads) {
     FEDGTA_CHECK(shard_.contains(up.client_id))
         << "client " << up.client_id << " staged outside shard ["
@@ -47,166 +36,95 @@ void ShardPlane::StageRound(std::vector<ShardUpload> uploads) {
     row_of_[up.client_id] = static_cast<int>(staged_.size());
     staged_.push_back(up.client_id);
     params_.push_back(std::move(up.params));
-    moments[static_cast<size_t>(up.client_id)] = std::move(up.moments);
-    confidence_by_id_[static_cast<size_t>(up.client_id)] = up.confidence;
-  }
-  normalized_ = staged_.empty() ? Matrix()
-                                : StackNormalizedMoments(moments, staged_);
-}
-
-std::vector<uint64_t> ShardPlane::Signatures() const {
-  if (staged_.empty()) return {};
-  return ComputeLshSignatures(normalized_, options_.similarity);
-}
-
-void ShardPlane::InstallGlobalFrame(std::vector<int> global_survivors,
-                                    std::vector<double> confidences,
-                                    std::vector<uint64_t> signatures) {
-  FEDGTA_CHECK_EQ(global_survivors.size(), confidences.size());
-  global_survivors_ = std::move(global_survivors);
-  global_sigs_ = std::move(signatures);
-  global_index_.clear();
-  global_index_.reserve(global_survivors_.size());
-  for (size_t g = 0; g < global_survivors_.size(); ++g) {
-    const int id = global_survivors_[g];
-    FEDGTA_CHECK(id >= 0 && id < num_clients_);
-    global_index_[id] = static_cast<int>(g);
-    confidence_by_id_[static_cast<size_t>(id)] = confidences[g];
+    moments_.push_back(std::move(up.moments));
+    confidences_.push_back(up.confidence);
   }
 }
 
-ShardPlane::Candidates ShardPlane::ComputeCandidates(bool use_lsh) const {
-  Candidates out;
-  out.per_row.resize(staged_.size());
-  const int64_t gp = static_cast<int64_t>(global_survivors_.size());
-  const LshShape shape = LshShapeFor(options_.epsilon, options_.similarity);
-  if (use_lsh) {
-    FEDGTA_CHECK_EQ(global_sigs_.size(),
-                    static_cast<size_t>(gp * shape.words));
+Result<std::vector<std::vector<int>>> ShardPlane::BuildSets(
+    const std::vector<int>& survivors, std::vector<std::vector<float>> moments,
+    SimilarityStats* stats) const {
+  if (moments.size() != survivors.size()) {
+    return InvalidArgumentError(
+        "survivor frame misaligned: " + std::to_string(survivors.size()) +
+        " ids, " + std::to_string(moments.size()) + " moment rows");
   }
-  std::vector<char> wanted(static_cast<size_t>(num_clients_), 0);
+  if (survivors.empty()) {
+    return InvalidArgumentError("empty survivor frame");
+  }
+  const size_t dim =
+      moments_.empty() ? moments.front().size() : moments_.front().size();
+  for (size_t g = 0; g < survivors.size(); ++g) {
+    const int id = survivors[g];
+    if (id < 0 || id >= num_clients_ || (g > 0 && id <= survivors[g - 1])) {
+      return InvalidArgumentError(
+          "survivor frame ids must be ascending client ids in [0, " +
+          std::to_string(num_clients_) + ")");
+    }
+    if (moments[g].size() != dim) {
+      return InvalidArgumentError("moment row of client " +
+                                  std::to_string(id) + " has length " +
+                                  std::to_string(moments[g].size()) +
+                                  ", expected " + std::to_string(dim));
+    }
+  }
+  // Ascending ids over a contiguous shard: the shard's rows are one slice
+  // of the frame, and it must be exactly what this shard staged.
+  const auto first = std::lower_bound(survivors.begin(), survivors.end(),
+                                      shard_.begin);
+  const auto last = std::lower_bound(first, survivors.end(), shard_.end);
+  const ParticipantRows rows{first - survivors.begin(),
+                             last - survivors.begin()};
+  if (!std::equal(first, last, staged_.begin(), staged_.end())) {
+    return InvalidArgumentError(
+        "survivor frame disagrees with the shard's staged survivors");
+  }
   for (size_t a = 0; a < staged_.size(); ++a) {
-    const int i = staged_[a];
-    const auto it = global_index_.find(i);
-    FEDGTA_CHECK(it != global_index_.end())
-        << "staged survivor " << i << " missing from the global frame";
-    const int64_t ga = it->second;
-    std::vector<int>& cand = out.per_row[a];
-    const uint64_t* sa =
-        use_lsh ? global_sigs_.data() + ga * shape.words : nullptr;
-    for (int64_t gb = 0; gb < gp; ++gb) {
-      if (gb == ga) continue;
-      if (use_lsh) {
-        const uint64_t* sb = global_sigs_.data() + gb * shape.words;
-        int64_t h = 0;
-        for (int64_t w = 0; w < shape.words; ++w) {
-          h += std::popcount(sa[w] ^ sb[w]);
-        }
-        if (h > shape.h_max) {
-          ++out.pairs_pruned;
-          continue;
-        }
-      }
-      const int j = global_survivors_[static_cast<size_t>(gb)];
-      cand.push_back(j);
-      ++out.pairs_exact;
-      if (!shard_.contains(j)) wanted[static_cast<size_t>(j)] = 1;
+    const std::vector<float>& row =
+        moments[static_cast<size_t>(rows.begin) + a];
+    if (row.size() != moments_[a].size() ||
+        std::memcmp(row.data(), moments_[a].data(),
+                    row.size() * sizeof(float)) != 0) {
+      return InvalidArgumentError("frame moments of client " +
+                                  std::to_string(staged_[a]) +
+                                  " differ from its upload");
     }
   }
-  for (int id = 0; id < num_clients_; ++id) {
-    if (wanted[static_cast<size_t>(id)]) out.remote_wanted.push_back(id);
-  }
-  return out;
-}
 
-std::vector<std::vector<float>> ShardPlane::ExportRows(
-    const std::vector<int>& ids) const {
-  std::vector<std::vector<float>> rows;
-  rows.reserve(ids.size());
-  const int64_t d = normalized_.cols();
-  for (int id : ids) {
-    const auto it = row_of_.find(id);
-    FEDGTA_CHECK(it != row_of_.end())
-        << "row export requested for unstaged client " << id;
-    const float* src = normalized_.data() + int64_t{it->second} * d;
-    rows.emplace_back(src, src + d);
+  // Core Eq. 6 takes a client-id-indexed moment table.
+  std::vector<std::vector<float>> by_id(static_cast<size_t>(num_clients_));
+  for (size_t g = 0; g < survivors.size(); ++g) {
+    by_id[static_cast<size_t>(survivors[g])] = std::move(moments[g]);
   }
-  return rows;
-}
-
-void ShardPlane::InstallRemoteRows(const std::vector<int>& ids,
-                                   std::vector<std::vector<float>> rows) {
-  FEDGTA_CHECK_EQ(ids.size(), rows.size());
-  for (size_t k = 0; k < ids.size(); ++k) {
-    remote_rows_[ids[k]] = std::move(rows[k]);
-  }
-}
-
-const float* ShardPlane::RowOf(int id) const {
-  const auto local = row_of_.find(id);
-  if (local != row_of_.end()) {
-    return normalized_.data() + int64_t{local->second} * normalized_.cols();
-  }
-  const auto remote = remote_rows_.find(id);
-  FEDGTA_CHECK(remote != remote_rows_.end())
-      << "admission needs the normalized row of client " << id
-      << " but no shard shipped it";
-  FEDGTA_CHECK_EQ(remote->second.size(),
-                  static_cast<size_t>(normalized_.cols()));
-  return remote->second.data();
-}
-
-std::vector<std::vector<int>> ShardPlane::BuildSets(
-    const Candidates& candidates) const {
-  FEDGTA_CHECK_EQ(candidates.per_row.size(), staged_.size());
-  const int64_t d = normalized_.cols();
-  const float eps = static_cast<float>(options_.epsilon);
-  std::vector<std::vector<int>> sets(staged_.size());
-  Matrix gathered;
-  Matrix sims;
-  for (size_t a = 0; a < staged_.size(); ++a) {
-    const int i = staged_[a];
-    std::vector<int>& set = sets[a];
-    set.push_back(i);
-    const std::vector<int>& cand = candidates.per_row[a];
-    if (cand.empty()) continue;
-    const int64_t c = static_cast<int64_t>(cand.size());
-    gathered.EnsureShape(c, d);
-    for (int64_t idx = 0; idx < c; ++idx) {
-      std::memcpy(gathered.data() + idx * d,
-                  RowOf(cand[static_cast<size_t>(idx)]),
-                  static_cast<size_t>(d) * sizeof(float));
-    }
-    ExactSimilarityRow(normalized_.data() + static_cast<int64_t>(a) * d,
-                       gathered, &sims);
-    for (int64_t idx = 0; idx < c; ++idx) {
-      if (sims.data()[idx] >= eps) {
-        set.push_back(cand[static_cast<size_t>(idx)]);
-      }
-    }
+  std::vector<std::vector<int>> all =
+      BuildAggregationSets(by_id, survivors, options_.epsilon,
+                           options_.similarity, rows, stats);
+  std::vector<std::vector<int>> sets;
+  sets.reserve(staged_.size());
+  for (int id : staged_) {
+    sets.push_back(std::move(all[static_cast<size_t>(id)]));
   }
   return sets;
 }
 
-double ShardPlane::MemberWeight(int id) const {
-  FEDGTA_CHECK(id >= 0 && id < num_clients_);
+double ShardPlane::RowWeight(int row) const {
   return options_.disable_confidence
              ? static_cast<double>(std::max<int64_t>(
-                   1, train_sizes_[static_cast<size_t>(id)]))
-             : confidence_by_id_[static_cast<size_t>(id)];
-}
-
-double ShardPlane::WeightSum(const std::vector<int>& canonical) const {
-  double weight_sum = 0.0;
-  for (int j : canonical) weight_sum += MemberWeight(j);
-  return weight_sum;
+                   1, train_sizes_[static_cast<size_t>(
+                          staged_[static_cast<size_t>(row)])]))
+             : confidences_[static_cast<size_t>(row)];
 }
 
 std::vector<float> ShardPlane::AggregateLocalSet(
     const std::vector<int>& canonical) const {
   FEDGTA_CHECK(!canonical.empty());
-  const double weight_sum = WeightSum(canonical);
-  std::vector<float> out(ParamsOf(canonical.front()).size(), 0.0f);
+  double weight_sum = 0.0;
+  for (int j : canonical) {
+    const auto it = row_of_.find(j);
+    FEDGTA_CHECK(it != row_of_.end()) << "client " << j << " not staged here";
+    weight_sum += RowWeight(it->second);
+  }
+  std::vector<float> out(params_.front().size(), 0.0f);
   AccumulatePartial(canonical, weight_sum, &out);
   return out;
 }
@@ -219,16 +137,10 @@ void ShardPlane::AccumulatePartial(const std::vector<int>& canonical,
     if (it == row_of_.end()) continue;
     const float w =
         weight_sum > 0.0
-            ? static_cast<float>(MemberWeight(j) / weight_sum)
+            ? static_cast<float>(RowWeight(it->second) / weight_sum)
             : 1.0f / static_cast<float>(canonical.size());
     Axpy(w, params_[static_cast<size_t>(it->second)], *acc);
   }
-}
-
-const std::vector<float>& ShardPlane::ParamsOf(int id) const {
-  const auto it = row_of_.find(id);
-  FEDGTA_CHECK(it != row_of_.end()) << "client " << id << " not staged here";
-  return params_[static_cast<size_t>(it->second)];
 }
 
 }  // namespace fed

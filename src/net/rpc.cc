@@ -72,18 +72,6 @@ const char* EnvelopeKindName(EnvelopeKind kind) {
       return "TrainShard";
     case EnvelopeKind::kTrainShardDone:
       return "TrainShardDone";
-    case EnvelopeKind::kSignatureExchange:
-      return "SignatureExchange";
-    case EnvelopeKind::kSignatureBlock:
-      return "SignatureBlock";
-    case EnvelopeKind::kCandidatePairs:
-      return "CandidatePairs";
-    case EnvelopeKind::kCandidateWants:
-      return "CandidateWants";
-    case EnvelopeKind::kMomentFetch:
-      return "MomentFetch";
-    case EnvelopeKind::kMomentBlock:
-      return "MomentBlock";
     case EnvelopeKind::kSetBuild:
       return "SetBuild";
     case EnvelopeKind::kSetReport:
@@ -363,16 +351,12 @@ Status ErrorMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
 void RoutedMsg::Encode(serialize::Writer* w, compress::Link* /*link*/) const {
   w->WriteU32(kind);
   w->WriteI32(round);
-  w->WriteI32(src);
-  w->WriteI32(dst);
   w->WriteString(body);
   EncodeMetricsDelta(metrics, w);
 }
 Status RoutedMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&kind));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&round));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&src));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&dst));
   FEDGTA_RETURN_IF_ERROR(r->ReadString(&body));
   return DecodeMetricsDelta(r, &metrics);
 }

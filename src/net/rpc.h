@@ -59,11 +59,13 @@ namespace net {
 /// v5: hierarchical aggregation (DESIGN.md §5k). Hello gains a `node_role`
 /// field so the root can tell aggregators from mis-wired workers, and a
 /// single generic `Routed` envelope carries every root ↔ aggregator
-/// exchange (ShardAssign, SignatureExchange, CandidatePairs,
-/// PartialAggregate, ...) as a kind-tagged nested body instead of growing
-/// one MsgType per feature. The worker ↔ (root|aggregator) protocol is
-/// unchanged — a worker cannot tell whether its server is the root or a
-/// regional aggregator.
+/// exchange (ShardAssign, TrainShard, SetBuild, PartialAggregate, ...) as
+/// a kind-tagged nested body instead of growing one MsgType per feature.
+/// A FedGTA round on that link is TrainShard, SetBuild (the survivor
+/// frame every aggregator builds its rows' Eq. 6 sets from), one chained
+/// PartialAggregate per aggregator, GroupDeliver, and EvalShard. The
+/// worker ↔ (root|aggregator) protocol is unchanged — a worker cannot
+/// tell whether its server is the root or a regional aggregator.
 ///
 /// Every binary ships from one tree, so a server speaks exactly
 /// kProtocolVersion: Hello and AssignConfig have one fixed layout, and a
@@ -305,29 +307,21 @@ enum class EnvelopeKind : uint32_t {
   kShardReady = 2,        // agg → root: param count, init params, status port
   kInitModel = 3,         // root → agg: common initialization broadcast
   kTrainShard = 4,        // root → agg: run one round over shard survivors
-  kTrainShardDone = 5,    // agg → root: per-participant scalars (no tensors)
-  kSignatureExchange = 6, // root → agg: compute shard LSH signatures
-  kSignatureBlock = 7,    // agg → root: packed sign-projection words
-  kCandidatePairs = 8,    // root → agg: all signatures + confidences
-  kCandidateWants = 9,    // agg → root: remote moment rows this shard needs
-  kMomentFetch = 10,      // root → agg: rows other shards asked for
-  kMomentBlock = 11,      // agg → root: the normalized rows
-  kSetBuild = 12,         // root → agg: fetched remote rows, build Eq. 6 sets
-  kSetReport = 13,        // agg → root: cross-shard canonical sets
-  kPartialAggregate = 14, // root → agg: chained Eq. 7 accumulator pass
-  kPartialBlock = 15,     // agg → root: updated accumulators
-  kGroupDeliver = 16,     // root → agg: final vector for a cross-shard set
-  kGroupAck = 17,         // agg → root
-  kEvalShard = 18,        // root → agg: evaluate shard clients
-  kEvalShardDone = 19,    // agg → root: per-client accuracies
+  kTrainShardDone = 5,    // agg → root: per-participant scalars + moments
+  kSetBuild = 6,          // root → agg: survivor frame, build Eq. 6 sets
+  kSetReport = 7,         // agg → root: cross-shard canonical sets
+  kPartialAggregate = 8,  // root → agg: chained Eq. 7 accumulator pass
+  kPartialBlock = 9,      // agg → root: updated accumulators
+  kGroupDeliver = 10,     // root → agg: final vector for a cross-shard set
+  kGroupAck = 11,         // agg → root
+  kEvalShard = 12,        // root → agg: evaluate shard clients
+  kEvalShardDone = 13,    // agg → root: per-client accuracies
 };
 
 const char* EnvelopeKindName(EnvelopeKind kind);
 
 /// v5 routed envelope: the single message type of the root ↔ aggregator
-/// link. `kind` selects the body schema; `src`/`dst` are aggregator
-/// indices with -1 meaning the root, so a future multi-hop topology can
-/// forward envelopes without re-framing. Aggregator replies piggyback a
+/// link. `kind` selects the body schema. Aggregator replies piggyback a
 /// metrics delta exactly like TrainResponse does, which is how the
 /// aggregator's own counters (and its rolled-up worker fleet) reach the
 /// root's registry.
@@ -335,8 +329,6 @@ struct RoutedMsg {
   static constexpr MsgType kType = MsgType::kRouted;
   uint32_t kind = 0;  // static_cast<uint32_t>(EnvelopeKind)
   int32_t round = 0;
-  int32_t src = -1;
-  int32_t dst = -1;
   std::string body;
   MetricsDelta metrics;
 

@@ -162,7 +162,7 @@ TEST(MomentsTest, DistinguishesLabelDistributions) {
 TEST(SimilarityTest, MatrixIsSymmetricWithUnitDiagonal) {
   std::vector<std::vector<float>> moments{
       {1.0f, 0.0f}, {0.0f, 1.0f}, {1.0f, 1.0f}};
-  const Matrix sim = MomentSimilarityMatrix(moments, {0, 1, 2});
+  const Matrix sim = ComputeSimilarityBlock(moments, {0, 1, 2}).values;
   for (int i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(sim(i, i), 1.0f);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) EXPECT_FLOAT_EQ(sim(i, j), sim(j, i));

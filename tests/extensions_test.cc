@@ -107,15 +107,20 @@ TEST(FeatureMomentsTest, BlocksAreNormalized) {
 }
 
 TEST(SimilarityQuantileTest, MatchesSortedOrder) {
-  Matrix sim(3, 3, 0.0f);
+  SimilarityBlock block;
+  block.participants = {0, 1, 2};
+  block.values = Matrix(3, 3, 0.0f);
+  Matrix& sim = block.values;
   sim(0, 1) = sim(1, 0) = 0.2f;
   sim(0, 2) = sim(2, 0) = 0.8f;
   sim(1, 2) = sim(2, 1) = 0.5f;
-  const std::vector<int> all{0, 1, 2};
-  EXPECT_FLOAT_EQ(SimilarityQuantile(sim, all, 0.0), 0.2f);
-  EXPECT_FLOAT_EQ(SimilarityQuantile(sim, all, 0.5), 0.5f);
-  EXPECT_FLOAT_EQ(SimilarityQuantile(sim, all, 1.0), 0.8f);
-  EXPECT_DOUBLE_EQ(SimilarityQuantile(sim, {0}, 0.5), 0.0);
+  EXPECT_FLOAT_EQ(SimilarityQuantile(block, 0.0), 0.2f);
+  EXPECT_FLOAT_EQ(SimilarityQuantile(block, 0.5), 0.5f);
+  EXPECT_FLOAT_EQ(SimilarityQuantile(block, 1.0), 0.8f);
+  SimilarityBlock single;
+  single.participants = {0};
+  single.values = Matrix(1, 1, 1.0f);
+  EXPECT_DOUBLE_EQ(SimilarityQuantile(single, 0.5), 0.0);
 }
 
 TEST(AdaptiveEpsilonTest, MedianSplitsHeterogeneousClients) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "fed/remote_config.h"
 #include "fed/role.h"
 #include "fed/simulation.h"
+#include "net/rpc.h"
 #include "net/socket.h"
 
 namespace fedgta {
@@ -254,6 +256,17 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
                         "workers=2"),
             std::string::npos)
       << status;
+
+  // LSH set building: each aggregator prescreens its own rows against the
+  // whole survivor frame, exactly like the in-process LSH plane.
+  RemoteFedConfig lsh = BaseConfig();
+  lsh.strategy_options.fedgta.similarity.mode = SimilarityMode::kLsh;
+  const HierarchicalOutcome lsh_out = RunHierarchical(lsh);
+  ASSERT_TRUE(lsh_out.result.ok()) << lsh_out.result.status();
+  std::string diff;
+  EXPECT_TRUE(
+      fed::DeterministicEquals(*lsh_out.result, RunInProcess(lsh), &diff))
+      << diff;
 }
 
 TEST(HierarchyTest, FailureInjectionAndSamplingStayIdentical) {
@@ -299,6 +312,75 @@ TEST(HierarchyTest, RelayedFedAvgIsBitIdenticalToSimulation) {
   ASSERT_TRUE(out.result.ok()) << out.result.status();
   for (int code : out.exit_codes) EXPECT_EQ(code, 0);
   ExpectBitIdentical(*out.result, RunInProcess(config));
+}
+
+TEST(HierarchyTest, TrainShardDoneWithMisalignedMomentsDropsTheShard) {
+  // A scripted aggregator answers TrainShard with one moment row too few.
+  // The root must refuse the reply (the shard's participants drop, as for
+  // a dead aggregator) rather than build a survivor frame from it, so no
+  // SetBuild ever reaches the shard.
+  RemoteFedConfig config = BaseConfig();
+  config.num_aggregators = 1;
+  config.num_workers = 1;
+  config.sim.rounds = 2;
+  auto root = std::make_unique<fed::RootCoordinator>(config);
+  ASSERT_TRUE(root->Listen(0).ok());
+  const int port = root->port();
+  std::vector<uint32_t> kinds_seen;
+  std::thread fake([&] {
+    Result<net::Socket> dialed = net::Connect("127.0.0.1", port, 5000);
+    ASSERT_TRUE(dialed.ok()) << dialed.status();
+    net::Socket sock = std::move(*dialed);
+    net::HelloMsg hello;
+    hello.node_role = static_cast<uint32_t>(net::NodeRole::kAggregator);
+    ASSERT_TRUE(net::SendMessage(sock, hello).ok());
+    const auto reply = [&](const net::RoutedMsg& msg) {
+      ASSERT_TRUE(net::SendMessage(sock, msg).ok());
+    };
+    fed::ShardReadyBody ready;
+    ready.param_count = 4;
+    ready.init_params.assign(4, 0.5f);
+    net::RoutedMsg req;
+    while (net::ExpectMessage(sock, &req).ok()) {
+      kinds_seen.push_back(req.kind);
+      switch (static_cast<net::EnvelopeKind>(req.kind)) {
+        case net::EnvelopeKind::kShardAssign:
+          reply(fed::MakeEnvelope(net::EnvelopeKind::kShardReady, 0, ready));
+          break;
+        case net::EnvelopeKind::kInitModel:
+          reply(fed::MakeEnvelope(net::EnvelopeKind::kGroupAck, 0));
+          break;
+        case net::EnvelopeKind::kTrainShard: {
+          fed::TrainShardBody train;
+          serialize::Reader r(req.body);
+          ASSERT_TRUE(train.Decode(&r).ok());
+          const size_t n = train.participants.size();
+          fed::TrainShardDoneBody done;
+          done.rpc_ok.assign(n, 1);
+          done.seconds.assign(n, 0.0);
+          done.losses.assign(n, 1.0);
+          done.num_samples.assign(n, 1);
+          done.confidences.assign(n, 1.0);
+          done.moments.assign(n - 1, std::vector<float>(3, 1.0f));
+          reply(fed::MakeEnvelope(net::EnvelopeKind::kTrainShardDone,
+                                  req.round, done));
+          break;
+        }
+        default:
+          return;  // SetBuild or anything else: stop answering
+      }
+    }
+  });
+  const Result<SimulationResult> result = root->Run();
+  root.reset();  // closes the link, ending the fake's serve loop
+  fake.join();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->total_dropped_clients, 2 * config.split.num_clients);
+  const std::vector<uint32_t> expected = {
+      static_cast<uint32_t>(net::EnvelopeKind::kShardAssign),
+      static_cast<uint32_t>(net::EnvelopeKind::kInitModel),
+      static_cast<uint32_t>(net::EnvelopeKind::kTrainShard)};
+  EXPECT_EQ(kinds_seen, expected);
 }
 
 TEST(HierarchyTest, NonShardableStrategyIsRejectedBeforeAccepting) {

@@ -690,16 +690,14 @@ TEST(RpcTest, Version4HelloIsRefusedWithAnErrorMsg) {
 }
 
 TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
-  // The v5 generic envelope: kind + routing header + opaque body. The
-  // hierarchy's typed payloads all ride inside `body`, so the transport
-  // layer only needs this frame to round-trip losslessly.
+  // The v5 generic envelope: kind + round + opaque body. The hierarchy's
+  // typed payloads all ride inside `body`, so the transport layer only
+  // needs this frame to round-trip losslessly.
   Loop loop = MakeLoop();
   std::thread sender([&] {
     RoutedMsg msg;
-    msg.kind = static_cast<uint32_t>(EnvelopeKind::kSignatureExchange);
+    msg.kind = static_cast<uint32_t>(EnvelopeKind::kSetBuild);
     msg.round = 12;
-    msg.src = 0;
-    msg.dst = 2;
     msg.body = std::string("\x00\x01payload\xFF", 10);
     ASSERT_TRUE(SendMessage(loop.peer, msg).ok());
   });
@@ -707,13 +705,11 @@ TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
   const Status received = ExpectMessage(loop.client, &got);
   sender.join();
   ASSERT_TRUE(received.ok()) << received;
-  EXPECT_EQ(got.kind, static_cast<uint32_t>(EnvelopeKind::kSignatureExchange));
+  EXPECT_EQ(got.kind, static_cast<uint32_t>(EnvelopeKind::kSetBuild));
   EXPECT_EQ(got.round, 12);
-  EXPECT_EQ(got.src, 0);
-  EXPECT_EQ(got.dst, 2);
   EXPECT_EQ(got.body, std::string("\x00\x01payload\xFF", 10));
   EXPECT_STREQ(EnvelopeKindName(static_cast<EnvelopeKind>(got.kind)),
-               "SignatureExchange");
+               "SetBuild");
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests of the server similarity/aggregation plane (DESIGN.md §5h): the
 // GEMM-backed Eq. 6 block, the LSH candidate prescreen's exact-set parity,
-// the nth_element quantile rewrite, and the deduplicated parallel Eq. 7.
+// row-range set building and the regional aggregators' ShardPlane
+// (DESIGN.md §5k), the nth_element quantile rewrite, and the deduplicated
+// parallel Eq. 7.
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +56,10 @@ std::vector<int> AllParticipants(int n) {
   return participants;
 }
 
+ParticipantRows AllRows(const std::vector<int>& participants) {
+  return ParticipantRows{0, static_cast<int64_t>(participants.size())};
+}
+
 int64_t CounterValue(const char* name) {
   const Counter* c = GlobalMetrics().FindCounter(name);
   return c != nullptr ? c->value() : 0;
@@ -91,31 +98,6 @@ TEST(SimilarityBlockTest, MatchesScalarCosine) {
   }
 }
 
-TEST(SimilarityBlockTest, LegacyMatrixScattersTheBlock) {
-  const int n = 12;
-  const auto moments = ClusteredMoments(n, 3, 10, /*seed=*/11);
-  std::vector<int> participants = {1, 3, 4, 8, 11};
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  const Matrix legacy = MomentSimilarityMatrix(moments, participants);
-  ASSERT_EQ(legacy.rows(), n);
-  ASSERT_EQ(legacy.cols(), n);
-  std::vector<bool> in(static_cast<size_t>(n), false);
-  for (int i : participants) in[static_cast<size_t>(i)] = true;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (in[static_cast<size_t>(i)] && in[static_cast<size_t>(j)]) {
-        const auto a = std::find(participants.begin(), participants.end(), i) -
-                       participants.begin();
-        const auto b = std::find(participants.begin(), participants.end(), j) -
-                       participants.begin();
-        EXPECT_EQ(legacy(i, j), block.values(a, b));
-      } else {
-        EXPECT_EQ(legacy(i, j), 0.0f);
-      }
-    }
-  }
-}
-
 TEST(SimilarityQuantileTest, NthElementMatchesFullSortReference) {
   const auto moments = ClusteredMoments(23, 5, 14, /*seed=*/3);
   const auto participants = AllParticipants(23);
@@ -132,17 +114,6 @@ TEST(SimilarityQuantileTest, NthElementMatchesFullSortReference) {
         sorted.size() - 1,
         static_cast<size_t>(q * static_cast<double>(sorted.size())));
     EXPECT_EQ(SimilarityQuantile(block, q), sorted[idx]) << "q=" << q;
-  }
-}
-
-TEST(SimilarityQuantileTest, BlockAndLegacyOverloadsAgree) {
-  const auto moments = ClusteredMoments(15, 4, 9, /*seed=*/29);
-  const auto participants = AllParticipants(15);
-  const SimilarityBlock block = ComputeSimilarityBlock(moments, participants);
-  const Matrix legacy = MomentSimilarityMatrix(moments, participants);
-  for (double q : {0.0, 0.3, 0.5, 0.95}) {
-    EXPECT_EQ(SimilarityQuantile(block, q),
-              SimilarityQuantile(legacy, participants, q));
   }
 }
 
@@ -173,7 +144,8 @@ TEST(SimilarityParityTest, LshSetsMatchExactOracle) {
         plane.mode = SimilarityMode::kLsh;
         SimilarityStats stats;
         const auto lsh = BuildAggregationSets(moments, participants, epsilon,
-                                              plane, &stats);
+                                              plane, AllRows(participants),
+                                              &stats);
         EXPECT_EQ(exact, lsh)
             << "n=" << n << " epsilon=" << epsilon << " seed=" << seed;
         EXPECT_EQ(stats.mode_used, SimilarityMode::kLsh);
@@ -193,8 +165,8 @@ TEST(SimilarityParityTest, LshPrunesPairsOnSeparatedClusters) {
   SimilarityPlaneOptions plane;
   plane.mode = SimilarityMode::kLsh;
   SimilarityStats stats;
-  const auto lsh =
-      BuildAggregationSets(moments, participants, 0.9, plane, &stats);
+  const auto lsh = BuildAggregationSets(moments, participants, 0.9, plane,
+                                        AllRows(participants), &stats);
   EXPECT_EQ(lsh, BuildAggregationSets(moments, participants, 0.9));
   EXPECT_GT(stats.pairs_pruned, 0);
 }
@@ -208,11 +180,13 @@ TEST(SimilarityParityTest, AutoModeSwitchesOnParticipantCount) {
   SimilarityStats small_stats;
   std::vector<int> small(8);
   for (int i = 0; i < 8; ++i) small[static_cast<size_t>(i)] = i;
-  (void)BuildAggregationSets(moments, small, 0.3, plane, &small_stats);
+  (void)BuildAggregationSets(moments, small, 0.3, plane, AllRows(small),
+                             &small_stats);
   EXPECT_EQ(small_stats.mode_used, SimilarityMode::kExact);
 
   SimilarityStats large_stats;
-  (void)BuildAggregationSets(moments, AllParticipants(20), 0.3, plane,
+  const std::vector<int> large = AllParticipants(20);
+  (void)BuildAggregationSets(moments, large, 0.3, plane, AllRows(large),
                              &large_stats);
   EXPECT_EQ(large_stats.mode_used, SimilarityMode::kLsh);
 }
@@ -361,14 +335,13 @@ TEST(FedGtaAggregatePlaneTest, AdaptiveEpsilonComputesSimilarityOnce) {
   EXPECT_EQ(CounterValue("phase.similarity.calls") - calls_before, 1);
 }
 
-// --- Shard-boundary parity (DESIGN.md §5k) ---------------------------------
+// --- Row-range set building and the regional aggregators (DESIGN.md §5k) --
 //
-// Drives the full cross-shard exchange in-process over K ShardPlanes —
-// stage, signature concat, global frame install, candidate generation,
-// moment fetch, set admission — and checks the result against the
-// single-server oracle. This is the satellite contract: candidate pairs
-// that cross shard boundaries must match the oracle's sets exactly, for
-// every seed, shard count, and similarity mode.
+// Each regional aggregator runs core Eq. 6 over the round's full survivor
+// frame, limited to its shard's contiguous rows. The contract: every row
+// of a range call equals that row of the full call (members and order),
+// the pair counts of disjoint ranges covering the frame sum to the full
+// call's, and none of it depends on the thread count.
 
 struct ShardedFixture {
   int n = 0;
@@ -399,17 +372,86 @@ ShardedFixture MakeShardedFixture(int n, int dim, uint64_t seed) {
   return f;
 }
 
-// Stages every shard, runs the signature/candidate/moment exchange the
-// root drives over RPC, and returns one ShardPlane per shard, ready for
-// BuildSets. `candidates` receives each shard's candidate structure.
-std::vector<std::unique_ptr<fed::ShardPlane>> RunShardedExchange(
+// Positions of the survivor frame that `shard` owns.
+ParticipantRows ShardRows(const std::vector<int>& participants,
+                          const fed::ShardRange& shard) {
+  const auto first = std::lower_bound(participants.begin(),
+                                      participants.end(), shard.begin);
+  const auto last = std::lower_bound(first, participants.end(), shard.end);
+  return ParticipantRows{first - participants.begin(),
+                         last - participants.begin()};
+}
+
+TEST(SimilarityParityTest, RowRangesReproduceFullCall) {
+  const int n = 48;
+  const double epsilon = 0.3;
+  for (uint64_t seed : {5ull, 311ull, 991ull}) {
+    const ShardedFixture f = MakeShardedFixture(n, /*dim=*/8, seed);
+    for (SimilarityMode mode : {SimilarityMode::kExact, SimilarityMode::kLsh}) {
+      SimilarityPlaneOptions plane;
+      plane.mode = mode;
+      SimilarityStats full_stats;
+      const auto full =
+          BuildAggregationSets(f.moments, f.participants, epsilon, plane,
+                               AllRows(f.participants), &full_stats);
+      EXPECT_EQ(full,
+                BuildAggregationSets(f.moments, f.participants, epsilon));
+      for (int shards : {2, 3, 4}) {
+        const fed::Topology topo(n, shards, shards);
+        std::vector<std::vector<std::vector<int>>> by_threads;
+        for (int threads : {1, 4}) {
+          SetGlobalThreadPoolSize(threads);
+          std::vector<std::vector<int>> merged(static_cast<size_t>(n));
+          int64_t pairs_exact = 0;
+          int64_t pairs_pruned = 0;
+          for (int a = 0; a < shards; ++a) {
+            const ParticipantRows rows =
+                ShardRows(f.participants, topo.ClientShard(a));
+            SimilarityStats stats;
+            const auto sets = BuildAggregationSets(
+                f.moments, f.participants, epsilon, plane, rows, &stats);
+            EXPECT_EQ(stats.mode_used, mode);
+            pairs_exact += stats.pairs_exact;
+            pairs_pruned += stats.pairs_pruned;
+            for (int64_t r = 0; r < static_cast<int64_t>(f.participants.size());
+                 ++r) {
+              const int id = f.participants[static_cast<size_t>(r)];
+              if (r >= rows.begin && r < rows.end) {
+                EXPECT_EQ(sets[static_cast<size_t>(id)],
+                          full[static_cast<size_t>(id)])
+                    << "client " << id << " shard " << a
+                    << " shards=" << shards
+                    << " mode=" << SimilarityModeName(mode)
+                    << " seed=" << seed << " threads=" << threads;
+                merged[static_cast<size_t>(id)] =
+                    sets[static_cast<size_t>(id)];
+              } else {
+                EXPECT_TRUE(sets[static_cast<size_t>(id)].empty())
+                    << "client " << id << " outside shard " << a;
+              }
+            }
+          }
+          // Each ordered pair is judged from its row's range exactly once.
+          EXPECT_EQ(pairs_exact, full_stats.pairs_exact)
+              << "shards=" << shards << " seed=" << seed;
+          EXPECT_EQ(pairs_pruned, full_stats.pairs_pruned)
+              << "shards=" << shards << " seed=" << seed;
+          EXPECT_EQ(merged, full);
+          by_threads.push_back(std::move(merged));
+        }
+        SetGlobalThreadPoolSize(1);
+        EXPECT_EQ(by_threads[0], by_threads[1]);
+      }
+    }
+  }
+}
+
+// One ShardPlane per shard of `topo`, each staged with its survivors.
+std::vector<std::unique_ptr<fed::ShardPlane>> StageShards(
     const ShardedFixture& f, const fed::Topology& topo,
-    const FedGtaOptions& options, bool use_lsh,
-    std::vector<fed::ShardPlane::Candidates>* candidates) {
-  const int shards = topo.num_aggregators();
+    const FedGtaOptions& options) {
   std::vector<std::unique_ptr<fed::ShardPlane>> planes;
-  std::vector<uint64_t> global_sigs;
-  for (int a = 0; a < shards; ++a) {
+  for (int a = 0; a < topo.num_aggregators(); ++a) {
     planes.push_back(std::make_unique<fed::ShardPlane>(
         f.n, topo.ClientShard(a), options, f.train_sizes));
     std::vector<fed::ShardUpload> uploads;
@@ -423,101 +465,25 @@ std::vector<std::unique_ptr<fed::ShardPlane>> RunShardedExchange(
       uploads.push_back(std::move(up));
     }
     planes.back()->StageRound(std::move(uploads));
-    if (use_lsh) {
-      // Shard-order concat == survivor-major global order (contiguity).
-      const std::vector<uint64_t> sigs = planes.back()->Signatures();
-      global_sigs.insert(global_sigs.end(), sigs.begin(), sigs.end());
-    }
-  }
-  std::vector<double> frame_confidences;
-  for (int id : f.participants) {
-    frame_confidences.push_back(f.confidences[static_cast<size_t>(id)]);
-  }
-  candidates->clear();
-  for (int a = 0; a < shards; ++a) {
-    planes[static_cast<size_t>(a)]->InstallGlobalFrame(
-        f.participants, frame_confidences, global_sigs);
-    candidates->push_back(
-        planes[static_cast<size_t>(a)]->ComputeCandidates(use_lsh));
-  }
-  // MomentFetch: serve each shard's want-list from the owning shards.
-  for (int a = 0; a < shards; ++a) {
-    std::vector<std::vector<int>> by_owner(static_cast<size_t>(shards));
-    for (int id : (*candidates)[static_cast<size_t>(a)].remote_wanted) {
-      by_owner[static_cast<size_t>(topo.AggregatorOf(id))].push_back(id);
-    }
-    for (int src = 0; src < shards; ++src) {
-      const std::vector<int>& ids = by_owner[static_cast<size_t>(src)];
-      if (ids.empty()) continue;
-      EXPECT_NE(src, a) << "shard wants a row it already owns";
-      planes[static_cast<size_t>(a)]->InstallRemoteRows(
-          ids, planes[static_cast<size_t>(src)]->ExportRows(ids));
-    }
   }
   return planes;
 }
 
-TEST(ShardPlaneParityTest, CrossShardSetsMatchSingleServerOracle) {
-  const int n = 48;
-  const double epsilon = 0.3;
-  for (uint64_t seed : {5ull, 311ull, 991ull}) {
-    const ShardedFixture f = MakeShardedFixture(n, /*dim=*/8, seed);
-    for (int shards : {2, 3, 4}) {
-      for (bool use_lsh : {false, true}) {
-        FedGtaOptions options;
-        options.epsilon = epsilon;
-        options.similarity.mode =
-            use_lsh ? SimilarityMode::kLsh : SimilarityMode::kExact;
-
-        SimilarityStats oracle_stats;
-        const auto oracle_sets = BuildAggregationSets(
-            f.moments, f.participants, epsilon, options.similarity,
-            &oracle_stats);
-
-        const fed::Topology topo(n, shards, shards);
-        std::vector<fed::ShardPlane::Candidates> candidates;
-        const auto planes =
-            RunShardedExchange(f, topo, options, use_lsh, &candidates);
-
-        // The sharded prescreen must examine exactly the pairs the
-        // single-server sweep examines, with the same prune decisions.
-        int64_t pairs_exact = 0;
-        int64_t pairs_pruned = 0;
-        for (const auto& c : candidates) {
-          pairs_exact += c.pairs_exact;
-          pairs_pruned += c.pairs_pruned;
-        }
-        EXPECT_EQ(pairs_exact, oracle_stats.pairs_exact)
-            << "shards=" << shards << " lsh=" << use_lsh << " seed=" << seed;
-        EXPECT_EQ(pairs_pruned, oracle_stats.pairs_pruned)
-            << "shards=" << shards << " lsh=" << use_lsh << " seed=" << seed;
-
-        // Every staged row's admitted set equals the oracle's, across
-        // shard boundaries.
-        for (int a = 0; a < shards; ++a) {
-          const auto sets =
-              planes[static_cast<size_t>(a)]->BuildSets(
-                  candidates[static_cast<size_t>(a)]);
-          const std::vector<int>& staged =
-              planes[static_cast<size_t>(a)]->staged();
-          ASSERT_EQ(sets.size(), staged.size());
-          for (size_t r = 0; r < staged.size(); ++r) {
-            EXPECT_EQ(sets[r],
-                      oracle_sets[static_cast<size_t>(staged[r])])
-                << "client " << staged[r] << " shard " << a
-                << " shards=" << shards << " lsh=" << use_lsh
-                << " seed=" << seed;
-          }
-        }
-      }
-    }
+// The survivor frame the root broadcasts in SetBuild.
+std::vector<std::vector<float>> FrameMoments(const ShardedFixture& f) {
+  std::vector<std::vector<float>> rows;
+  for (int id : f.participants) {
+    rows.push_back(f.moments[static_cast<size_t>(id)]);
   }
+  return rows;
 }
 
-// The Eq. 7 half of the contract: chaining AccumulatePartial across the
-// shards in ascending shard order must reproduce the single-server
-// personalized weights bit for bit, and a set that never crosses a shard
-// boundary must short-circuit through AggregateLocalSet to the same bits.
+// The Eq. 6+7 contract of the sharded plane: every shard's BuildSets over
+// the broadcast frame yields the single-server sets, and chaining
+// AccumulatePartial across the shards in ascending shard order (with the
+// weight sum the root computes) reproduces the single-server personalized
+// weights bit for bit; a set that never crosses a shard boundary must
+// short-circuit through AggregateLocalSet to the same bits.
 TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
   const int n = 36;
   const int dim = 40;
@@ -541,16 +507,19 @@ TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
 
   for (int shards : {2, 3}) {
     const fed::Topology topo(n, shards, shards);
-    std::vector<fed::ShardPlane::Candidates> candidates;
-    const auto planes =
-        RunShardedExchange(f, topo, options, /*use_lsh=*/false, &candidates);
+    const auto planes = StageShards(f, topo, options);
 
     for (int a = 0; a < shards; ++a) {
       const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
-      const auto sets = plane.BuildSets(candidates[static_cast<size_t>(a)]);
+      const Result<std::vector<std::vector<int>>> sets =
+          plane.BuildSets(f.participants, FrameMoments(f), nullptr);
+      ASSERT_TRUE(sets.ok()) << sets.status();
+      ASSERT_EQ(sets->size(), plane.staged().size());
       for (size_t r = 0; r < plane.staged().size(); ++r) {
         const int id = plane.staged()[r];
-        std::vector<int> canonical = sets[r];
+        EXPECT_EQ((*sets)[r], oracle_sets[static_cast<size_t>(id)])
+            << "client " << id << " shards=" << shards;
+        std::vector<int> canonical = (*sets)[r];
         std::sort(canonical.begin(), canonical.end());
         const bool local =
             std::all_of(canonical.begin(), canonical.end(), [&](int m) {
@@ -560,7 +529,10 @@ TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
         if (local) {
           got = plane.AggregateLocalSet(canonical);
         } else {
-          const double weight_sum = plane.WeightSum(canonical);
+          double weight_sum = 0.0;
+          for (int m : canonical) {
+            weight_sum += f.confidences[static_cast<size_t>(m)];
+          }
           got.assign(static_cast<size_t>(dim), 0.0f);
           for (int src = 0; src < shards; ++src) {
             planes[static_cast<size_t>(src)]->AccumulatePartial(
@@ -573,6 +545,75 @@ TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
       }
     }
   }
+}
+
+// A survivor frame is root-supplied input: every malformed shape must come
+// back as InvalidArgument instead of aborting the aggregator.
+TEST(ShardPlaneFrameTest, MalformedFramesAreInvalidArgument) {
+  const int n = 20;
+  const ShardedFixture f = MakeShardedFixture(n, /*dim=*/4, /*seed=*/9);
+  FedGtaOptions options;
+  options.epsilon = 0.3;
+  const fed::Topology topo(n, 2, 2);
+  const auto planes = StageShards(f, topo, options);
+  const fed::ShardPlane& plane = *planes[1];  // shard [10, 20)
+  const std::vector<int>& ids = f.participants;
+  const std::vector<std::vector<float>> rows = FrameMoments(f);
+  ASSERT_TRUE(plane.BuildSets(ids, rows, nullptr).ok());
+
+  const auto expect_invalid = [&](const std::vector<int>& bad_ids,
+                                  const std::vector<std::vector<float>>& bad,
+                                  const char* what) {
+    const Result<std::vector<std::vector<int>>> sets =
+        plane.BuildSets(bad_ids, bad, nullptr);
+    ASSERT_FALSE(sets.ok()) << what;
+    EXPECT_EQ(sets.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+
+  std::vector<int> out_of_range = ids;
+  out_of_range.back() = n;
+  expect_invalid(out_of_range, rows, "id past the client count");
+  std::vector<int> negative = ids;
+  negative.front() = -1;
+  expect_invalid(negative, rows, "negative id");
+  std::vector<int> unsorted = ids;
+  std::swap(unsorted[2], unsorted[3]);
+  expect_invalid(unsorted, rows, "ids not ascending");
+  std::vector<int> duplicate = ids;
+  duplicate[1] = duplicate[0];
+  expect_invalid(duplicate, rows, "duplicate id");
+
+  std::vector<std::vector<float>> short_frame = rows;
+  short_frame.pop_back();
+  expect_invalid(ids, short_frame, "fewer moment rows than ids");
+  std::vector<std::vector<float>> ragged = rows;
+  ragged[1].push_back(1.0f);
+  expect_invalid(ids, ragged, "ragged moment row");
+  std::vector<std::vector<float>> resized = rows;
+  for (std::vector<float>& row : resized) row.resize(row.size() - 1);
+  expect_invalid(ids, resized, "rows shorter than the staged uploads");
+  expect_invalid({}, {}, "empty frame");
+
+  // A frame that lost one of this shard's staged survivors.
+  const size_t staged_pos = static_cast<size_t>(
+      std::find(ids.begin(), ids.end(), plane.staged().front()) - ids.begin());
+  std::vector<int> missing_ids = ids;
+  std::vector<std::vector<float>> missing_rows = rows;
+  missing_ids.erase(missing_ids.begin() + static_cast<int64_t>(staged_pos));
+  missing_rows.erase(missing_rows.begin() + static_cast<int64_t>(staged_pos));
+  expect_invalid(missing_ids, missing_rows, "staged survivor missing");
+  // ... or names a shard client that never uploaded this round (3 + 7k
+  // are the fixture's non-survivors).
+  std::vector<int> extra_ids = ids;
+  std::vector<std::vector<float>> extra_rows = rows;
+  const auto at = std::lower_bound(extra_ids.begin(), extra_ids.end(), 17);
+  extra_rows.insert(extra_rows.begin() + (at - extra_ids.begin()), rows[0]);
+  extra_ids.insert(at, 17);
+  expect_invalid(extra_ids, extra_rows, "unstaged shard client");
+  // ... or carries other moments for a staged survivor than it uploaded.
+  std::vector<std::vector<float>> altered = rows;
+  altered[staged_pos][0] += 1.0f;
+  expect_invalid(ids, altered, "staged survivor's moments altered");
 }
 
 TEST(FedGtaAggregatePlaneTest, PairCountersAccumulateInRegistry) {
