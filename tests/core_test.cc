@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +160,65 @@ TEST(MomentsTest, DistinguishesLabelDistributions) {
   const auto c = MixedMoments({soft(50, 4, 2)}, 3);
   EXPECT_GT(CosineSimilarity(a, b), 0.99);
   EXPECT_LT(CosineSimilarity(a, c), 0.5);
+}
+
+// Oracle for the one-pass kernel: Eq. 5 read literally, one std::pow sweep
+// over the nodes per (hop, order).
+std::vector<float> PowMomentsOracle(const std::vector<Matrix>& y_hops,
+                                    int moment_order) {
+  const int64_t n = y_hops.front().rows();
+  const int64_t c = y_hops.front().cols();
+  std::vector<float> moments;
+  std::vector<double> acc(static_cast<size_t>(c));
+  for (const Matrix& y : y_hops) {
+    for (int order = 1; order <= moment_order; ++order) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (int64_t i = 0; i < n; ++i) {
+        const float* row = y.data() + i * c;
+        double mean = 0.0;
+        for (int64_t j = 0; j < c; ++j) mean += row[j];
+        mean /= static_cast<double>(c);
+        for (int64_t j = 0; j < c; ++j) {
+          acc[static_cast<size_t>(j)] +=
+              std::pow(static_cast<double>(row[j]) - mean, order);
+        }
+      }
+      for (int64_t j = 0; j < c; ++j) {
+        moments.push_back(static_cast<float>(acc[static_cast<size_t>(j)] /
+                                             static_cast<double>(n)));
+      }
+    }
+  }
+  return moments;
+}
+
+TEST(MomentsTest, OnePassMatchesPowOracle) {
+  // Softmaxed rows are the soft-label input; raw Gaussian rows stand in
+  // for the propagated features of FedGTA+feat.
+  Rng rng(20240117);
+  for (int trial = 0; trial < 48; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(1, 3000));
+    const int c = static_cast<int>(rng.UniformInt(2, 60));
+    const int num_hops = static_cast<int>(rng.UniformInt(1, 6));
+    const int order = static_cast<int>(rng.UniformInt(1, 5));
+    const bool softmaxed = trial % 2 == 0;
+    std::vector<Matrix> hops;
+    for (int l = 0; l < num_hops; ++l) {
+      Matrix y(n, c);
+      y.GaussianInit(rng, softmaxed ? 2.0f : 1.0f + 0.5f * l);
+      if (softmaxed) RowSoftmaxInPlace(&y);
+      hops.push_back(std::move(y));
+    }
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << ": n=" << n << " |Y|=" << c
+                 << " hops=" << num_hops << " K=" << order
+                 << (softmaxed ? " softmax" : " gaussian"));
+    const std::vector<float> got = MixedMoments(hops, order);
+    const std::vector<float> want = PowMomentsOracle(hops, order);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(SimilarityTest, MatrixIsSymmetricWithUnitDiagonal) {
