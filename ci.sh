@@ -46,6 +46,12 @@ for backend in reference blocked simd; do
     --output-on-failure -j"$JOBS" -L fast
 done
 
+# The suite run above uses the default backend, simd; the reference oracle
+# must keep passing the slow tier (the fleet bit-identity tests) too.
+echo "== slow tier under FEDGTA_BACKEND=reference =="
+FEDGTA_BACKEND=reference ctest --test-dir "$BUILD_DIR" \
+  --output-on-failure -j"$JOBS" -L slow
+
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B "$TSAN_BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -217,9 +217,11 @@ std::string BackendHelpLines() {
          "                        " +
          JoinBackends() +
          " (default: FEDGTA_BACKEND env,\n"
-         "                        else reference). Results agree across\n"
+         "                        else simd). Results agree across\n"
          "                        backends to float tolerance; runs are\n"
-         "                        bit-reproducible within one backend\n";
+         "                        bit-reproducible per backend and CPU\n"
+         "                        variant (pin reference on mixed-CPU\n"
+         "                        fleets that need bit-identity)\n";
 }
 
 std::string AsyncHelpLines() {

@@ -88,7 +88,7 @@ double MseEpoch(Linear& layer, const Matrix& x, const Matrix& target,
     dpred.data()[i] = 2.0f * diff * inv_n;
   }
   layer.ZeroGrad();
-  (void)layer.Backward(dpred);
+  layer.BackwardParams(dpred);
   const std::vector<ParamRef> params = layer.Params();
   opt.Step(params);
   return loss * inv_n;

@@ -61,6 +61,13 @@ void GcnModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   // Ã is symmetric (r = 0.5) up to the kernel coefficient; for r != 0.5 the
   // exact adjoint is Ã^T, which equals Ã only in the symmetric case, so we
   // propagate through the transpose-free path used in practice for r = 0.5.
+  //
+  // The input layer's input is Ã X with X the constant features, so that
+  // layer accumulates dW and db only.
+  if (num_layers_ == 1) {
+    layers_[0].BackwardParams(dlogits);
+    return;
+  }
   Matrix grad = layers_.back().Backward(dlogits);
   grad = adj * grad;  // d(input of last propagation)
   for (int l = num_layers_ - 2; l >= 0; --l) {
@@ -77,9 +84,11 @@ void GcnModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
       DropoutBackward(dropout_masks_[static_cast<size_t>(l)], &grad);
     }
     ReluBackwardInPlace(pre_activations_[static_cast<size_t>(l)], &grad);
+    if (l == 0) break;
     grad = layers_[static_cast<size_t>(l)].Backward(grad);
     grad = adj * grad;
   }
+  layers_[0].BackwardParams(grad);
 }
 
 std::vector<ParamRef> GcnModel::Params() {

@@ -50,7 +50,8 @@ Matrix DecoupledGnn::Forward(bool training) {
 
 void DecoupledGnn::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   FEDGTA_CHECK(mlp_ != nullptr);
-  mlp_->Backward(dlogits, dhidden);
+  // The MLP's input is the precomputed propagation: no gradient needed.
+  mlp_->BackwardParams(dlogits, dhidden);
 }
 
 std::vector<ParamRef> DecoupledGnn::Params() {

@@ -69,11 +69,10 @@ void SageModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
   const CsrMatrix& mean_t = last_training_ ? mean_train_t_ : mean_full_t_;
 
   Matrix dz = dlogits;
-  for (int l = num_layers_ - 1; l >= 0; --l) {
+  for (int l = num_layers_ - 1; l > 0; --l) {
     Matrix dh = self_layers_[static_cast<size_t>(l)].Backward(dz);
     Matrix dagg = nbr_layers_[static_cast<size_t>(l)].Backward(dz);
     dh += mean_t * dagg;
-    if (l == 0) break;
     // dh is the gradient on the previous layer's post-dropout activation.
     if (dhidden != nullptr && l == num_layers_ - 1) {
       FEDGTA_CHECK_EQ(dhidden->rows(), dh.rows());
@@ -86,6 +85,9 @@ void SageModel::Backward(const Matrix& dlogits, const Matrix* dhidden) {
     ReluBackwardInPlace(pre_activations_[static_cast<size_t>(l - 1)], &dh);
     dz = std::move(dh);
   }
+  // The input layer reads the constant features: dW and db only.
+  self_layers_[0].BackwardParams(dz);
+  nbr_layers_[0].BackwardParams(dz);
 }
 
 std::vector<ParamRef> SageModel::Params() {

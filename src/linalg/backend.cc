@@ -163,7 +163,7 @@ const Backend& ActiveBackend() {
       const char* env = std::getenv("FEDGTA_BACKEND");
       const std::string_view requested =
           (env != nullptr && env[0] != '\0') ? std::string_view(env)
-                                             : std::string_view("reference");
+                                             : std::string_view("simd");
       selected = registry.GetLocked(requested);
       FEDGTA_CHECK(selected != nullptr)
           << "FEDGTA_BACKEND names an unknown kernel backend: '" << requested

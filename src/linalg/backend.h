@@ -123,9 +123,11 @@ const Backend* FindBackend(std::string_view name);
 
 /// The process-wide backend all kernels dispatch through. On first use the
 /// FEDGTA_BACKEND environment variable picks the backend (unset/empty =
-/// "reference"); an unknown name aborts with the available list. Selection
+/// "simd"); an unknown name aborts with the available list. Selection
 /// is recorded in the metrics registry as
-/// `linalg.backend.selected.<name>`.
+/// `linalg.backend.selected.<name>`. Runs are bit-identical per (backend,
+/// CPU variant): simd(avx2+fma) and simd(portable) round differently, so a
+/// fleet of mixed CPUs that needs bit-identity pins "reference" everywhere.
 const Backend& ActiveBackend();
 
 /// Replaces the process-wide backend. InvalidArgument on unknown names.

@@ -33,11 +33,21 @@ inline constexpr int64_t kGemmMC = 96;
 inline constexpr int64_t kGemmNC = 512;
 
 /// Per-thread packing scratch, reused across calls to avoid allocation in
-/// the hot path. Thread-local: pool workers pack independently.
+/// the hot path. Thread-local: pool workers pack independently. Sized to
+/// the largest call seen so far on the thread (at most MC x KC and
+/// KC x NC), so threads that only run small GEMMs stay small.
 struct GemmPackBuffers {
-  std::vector<float> a;  // MC x KC, MR-strip layout
-  std::vector<float> b;  // KC x NC, NR-strip layout
+  std::vector<float> a;  // <= MC x KC, MR-strip layout
+  std::vector<float> b;  // <= KC x NC, NR-strip layout
 };
+
+/// Grows `buffer` to at least `size` floats; never shrinks it.
+inline float* GrowPackBuffer(std::vector<float>& buffer, int64_t size) {
+  if (buffer.size() < static_cast<size_t>(size)) {
+    buffer.resize(static_cast<size_t>(size));
+  }
+  return buffer.data();
+}
 
 inline GemmPackBuffers& ThreadGemmPackBuffers() {
   thread_local GemmPackBuffers buffers;
@@ -106,11 +116,16 @@ void TiledGemmRows(const GemmCall& call, int64_t row_begin, int64_t row_end) {
     return;
   }
 
+  // Packed panels hold at most min(KC, k) rows of min(NC, n) columns
+  // (B) or min(MC, rows) rows (A), each padded to a whole strip.
+  const int64_t max_kc = std::min(kGemmKC, k);
+  const int64_t max_nc = std::min(kGemmNC, n);
+  const int64_t max_mc = std::min(kGemmMC, row_end - row_begin);
   GemmPackBuffers& buffers = ThreadGemmPackBuffers();
-  buffers.b.resize(static_cast<size_t>(kGemmKC) *
-                   ((kGemmNC + NR - 1) / NR * NR));
-  buffers.a.resize(static_cast<size_t>(kGemmKC) *
-                   ((kGemmMC + MR - 1) / MR * MR));
+  float* const packed_b =
+      GrowPackBuffer(buffers.b, max_kc * ((max_nc + NR - 1) / NR * NR));
+  float* const packed_a =
+      GrowPackBuffer(buffers.a, max_kc * ((max_mc + MR - 1) / MR * MR));
   alignas(64) float acc[MR * NR];
 
   for (int64_t jc = 0; jc < n; jc += kGemmNC) {
@@ -118,16 +133,16 @@ void TiledGemmRows(const GemmCall& call, int64_t row_begin, int64_t row_end) {
     for (int64_t pc = 0; pc < k; pc += kGemmKC) {
       const int64_t kc = std::min<int64_t>(kGemmKC, k - pc);
       const bool first_panel = pc == 0;
-      PackBPanel<NR>(call.b, pc, jc, kc, nc, buffers.b.data());
+      PackBPanel<NR>(call.b, pc, jc, kc, nc, packed_b);
       for (int64_t ic = row_begin; ic < row_end; ic += kGemmMC) {
         const int64_t mc = std::min<int64_t>(kGemmMC, row_end - ic);
-        PackABlock<MR>(call.a, ic, pc, mc, kc, buffers.a.data());
+        PackABlock<MR>(call.a, ic, pc, mc, kc, packed_a);
         for (int64_t j0 = 0; j0 < nc; j0 += NR) {
           const int64_t nr = std::min<int64_t>(NR, nc - j0);
-          const float* bp = buffers.b.data() + j0 * kc;
+          const float* bp = packed_b + j0 * kc;
           for (int64_t i0 = 0; i0 < mc; i0 += MR) {
             const int64_t mr = std::min<int64_t>(MR, mc - i0);
-            Traits::Micro(buffers.a.data() + i0 * kc, bp, kc, acc);
+            Traits::Micro(packed_a + i0 * kc, bp, kc, acc);
             // Merge the live mr x nr window into C. The first k-panel
             // applies beta; later panels accumulate.
             for (int64_t i = 0; i < mr; ++i) {

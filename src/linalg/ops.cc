@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "common/thread_pool.h"
 #include "linalg/backend.h"
@@ -155,10 +157,31 @@ void ReluBackwardInPlace(const Matrix& pre_activation, Matrix* grad) {
   const float* pre = pre_activation.data();
   float* g = grad->data();
   const int64_t size = grad->size();
-  for (int64_t i = 0; i < size; ++i) {
-    if (pre[i] <= 0.0f) g[i] = 0.0f;
-  }
+  for (int64_t i = 0; i < size; ++i) g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
 }
+
+namespace {
+
+// The smallest engine output u with double(u) >= rate * 2^64.
+// Rng::Bernoulli(rate) (libstdc++'s bernoulli_distribution over
+// generate_canonical) is true iff double(u) / 2^64 < rate for one 64-bit
+// draw u; u -> double rounds monotonically, so that is exactly u < this.
+uint64_t DropThreshold(float rate) {
+  const double scaled = static_cast<double>(rate) * 0x1p64;
+  uint64_t lo = 0;
+  uint64_t hi = UINT64_MAX;  // double(UINT64_MAX) == 2^64 > scaled
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) >= scaled) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 void DropoutForward(float rate, Rng& rng, Matrix* m, Matrix* mask) {
   FEDGTA_CHECK(m != nullptr && mask != nullptr);
@@ -172,17 +195,17 @@ void DropoutForward(float rate, Rng& rng, Matrix* m, Matrix* mask) {
     return;
   }
   const float keep_scale = 1.0f / (1.0f - rate);
+  // One draw per element, dropped exactly when rng.Bernoulli(rate) would
+  // be true, so masks match the distribution's bit for bit.
+  const uint64_t drop_below = DropThreshold(rate);
+  std::mt19937_64& engine = rng.engine();
   float* data = m->data();
   float* mk = mask->data();
   const int64_t size = m->size();
   for (int64_t i = 0; i < size; ++i) {
-    if (rng.Bernoulli(rate)) {
-      mk[i] = 0.0f;
-      data[i] = 0.0f;
-    } else {
-      mk[i] = keep_scale;
-      data[i] *= keep_scale;
-    }
+    const bool keep = engine() >= drop_below;
+    mk[i] = keep ? keep_scale : 0.0f;
+    data[i] = keep ? data[i] * keep_scale : 0.0f;
   }
 }
 

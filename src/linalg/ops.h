@@ -52,6 +52,8 @@ void ReluBackwardInPlace(const Matrix& pre_activation, Matrix* grad);
 
 /// Inverted dropout: zeroes entries with probability `rate`, scales the
 /// rest by 1/(1-rate), and records the mask (1/(1-rate) or 0) in `mask`.
+/// For rate > 0 it consumes one draw per element and drops element i exactly
+/// when the i-th `rng.Bernoulli(rate)` would be true; rate 0 draws nothing.
 void DropoutForward(float rate, Rng& rng, Matrix* m, Matrix* mask);
 
 /// grad *= mask element-wise (mask from DropoutForward).

@@ -37,6 +37,30 @@ Matrix Mlp::Forward(const Matrix& x, bool training) {
 }
 
 Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden) {
+  if (config_.num_layers > 1) {
+    return layers_[0].Backward(BackwardToInputLayer(dlogits, dhidden));
+  }
+  // A 1-layer MLP's Hidden() is its input: dhidden adds to dX.
+  Matrix grad = layers_[0].Backward(dlogits);
+  if (dhidden != nullptr) {
+    FEDGTA_CHECK_EQ(dhidden->rows(), grad.rows());
+    FEDGTA_CHECK_EQ(dhidden->cols(), grad.cols());
+    grad += *dhidden;
+  }
+  return grad;
+}
+
+void Mlp::BackwardParams(const Matrix& dlogits, const Matrix* dhidden) {
+  if (config_.num_layers > 1) {
+    layers_[0].BackwardParams(BackwardToInputLayer(dlogits, dhidden));
+  } else {
+    // dhidden is a gradient on the input, which reaches no parameter.
+    layers_[0].BackwardParams(dlogits);
+  }
+}
+
+Matrix Mlp::BackwardToInputLayer(const Matrix& dlogits,
+                                 const Matrix* dhidden) {
   Matrix grad = layers_.back().Backward(dlogits);
   if (dhidden != nullptr) {
     FEDGTA_CHECK_EQ(dhidden->rows(), grad.rows());
@@ -48,6 +72,7 @@ Matrix Mlp::Backward(const Matrix& dlogits, const Matrix* dhidden) {
       DropoutBackward(dropout_masks_[static_cast<size_t>(l)], &grad);
     }
     ReluBackwardInPlace(pre_activations_[static_cast<size_t>(l)], &grad);
+    if (l == 0) break;
     grad = layers_[static_cast<size_t>(l)].Backward(grad);
   }
   return grad;

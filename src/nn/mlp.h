@@ -34,6 +34,10 @@ class Mlp {
   /// Accumulates parameter gradients and returns dX.
   Matrix Backward(const Matrix& dlogits, const Matrix* dhidden = nullptr);
 
+  /// Backward that accumulates the same parameter gradients without
+  /// computing dX, for callers whose input is a constant.
+  void BackwardParams(const Matrix& dlogits, const Matrix* dhidden = nullptr);
+
   std::vector<ParamRef> Params();
   void ZeroGrad();
 
@@ -48,6 +52,11 @@ class Mlp {
   Rng* mutable_dropout_rng() { return &dropout_rng_; }
 
  private:
+  /// Gradient on the output of layer 0 (after its ReLU and dropout are
+  /// undone), accumulating the parameter gradients of layers 1..L-1.
+  /// Requires num_layers >= 2.
+  Matrix BackwardToInputLayer(const Matrix& dlogits, const Matrix* dhidden);
+
   MlpConfig config_;
   std::vector<Linear> layers_;
   Rng dropout_rng_;

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <functional>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -82,9 +84,10 @@ TEST_P(ModelTest, ForwardShape) {
   EXPECT_EQ(model->name(), ModelTypeName(GetParam()));
 }
 
-TEST_P(ModelTest, GradientsMatchFiniteDifferences) {
+// Central finite differences over a strided sample of `cfg`'s parameters.
+void ExpectGradientsMatchFiniteDifferences(const ModelConfig& cfg) {
   TestInput t = MakeTestInput(3);
-  auto model = MakeModel(ConfigFor(GetParam()));
+  auto model = MakeModel(cfg);
   Rng rng(4);
   model->Prepare(t.input, rng);
 
@@ -116,8 +119,13 @@ TEST_P(ModelTest, GradientsMatchFiniteDifferences) {
     const double numeric = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(analytic[i], numeric,
                 3e-2 * std::max(1.0, std::fabs(numeric)))
-        << ModelTypeName(GetParam()) << " param " << i;
+        << ModelTypeName(cfg.type) << " (" << cfg.num_layers
+        << " layers) param " << i;
   }
+}
+
+TEST_P(ModelTest, GradientsMatchFiniteDifferences) {
+  ExpectGradientsMatchFiniteDifferences(ConfigFor(GetParam()));
 }
 
 TEST_P(ModelTest, LearnsEasyTask) {
@@ -191,6 +199,28 @@ INSTANTIATE_TEST_SUITE_P(AllBackbones, ModelTest,
                          [](const auto& info) {
                            return std::string(ModelTypeName(info.param));
                          });
+
+// GCN and SAGE stop backprop at the input layer, whose input is the constant
+// features. Depths 1 (the input layer is the only layer, so it also takes
+// the loss gradient) and 3 (two layers above it) cover that exit beyond the
+// default 2-layer case above.
+class CoupledDepthTest
+    : public ::testing::TestWithParam<std::tuple<ModelType, int>> {};
+
+TEST_P(CoupledDepthTest, GradientsMatchFiniteDifferences) {
+  ModelConfig cfg = ConfigFor(std::get<0>(GetParam()));
+  cfg.num_layers = std::get<1>(GetParam());
+  ExpectGradientsMatchFiniteDifferences(cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    InputLayerExit, CoupledDepthTest,
+    ::testing::Combine(::testing::Values(ModelType::kGcn, ModelType::kSage),
+                       ::testing::Values(1, 3)),
+    [](const auto& info) {
+      return std::string(ModelTypeName(std::get<0>(info.param))) + "_" +
+             std::to_string(std::get<1>(info.param)) + "layer";
+    });
 
 TEST(PropagationTest, HopsMatchRepeatedMultiply) {
   TestInput t = MakeTestInput(11);

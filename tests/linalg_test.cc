@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -264,6 +265,47 @@ TEST(OpsTest, DropoutRateZeroIsIdentity) {
   for (int64_t i = 0; i < m.size(); ++i) {
     EXPECT_FLOAT_EQ(m.data()[i], 2.0f);
     EXPECT_FLOAT_EQ(mask.data()[i], 1.0f);
+  }
+}
+
+TEST(OpsTest, DropoutDrawsMatchBernoulli) {
+  for (const float rate : {0.1f, 0.3f, 0.5f, 0.9f}) {
+    for (const int64_t size : {int64_t{0}, int64_t{1}, int64_t{100000}}) {
+      Rng init(17);
+      Matrix m = RandomMatrix(size, 1, init);
+
+      // The per-element rule DropoutForward documents, drawn through
+      // Rng::Bernoulli.
+      Rng oracle(23);
+      const float keep_scale = 1.0f / (1.0f - rate);
+      Matrix expected = m;
+      Matrix expected_mask(size, 1);
+      for (int64_t i = 0; i < size; ++i) {
+        if (oracle.Bernoulli(rate)) {
+          expected.data()[i] = 0.0f;
+          expected_mask.data()[i] = 0.0f;
+        } else {
+          expected.data()[i] *= keep_scale;
+          expected_mask.data()[i] = keep_scale;
+        }
+      }
+
+      Rng rng(23);
+      Matrix mask;
+      DropoutForward(rate, rng, &m, &mask);
+      ASSERT_EQ(mask.rows(), size);
+      ASSERT_EQ(mask.cols(), 1);
+      const size_t bytes = static_cast<size_t>(size) * sizeof(float);
+      if (bytes > 0) {
+        EXPECT_EQ(std::memcmp(m.data(), expected.data(), bytes), 0)
+            << "rate " << rate << " size " << size;
+        EXPECT_EQ(std::memcmp(mask.data(), expected_mask.data(), bytes), 0)
+            << "rate " << rate << " size " << size;
+      }
+      // Same number of draws consumed: both streams continue in step.
+      EXPECT_EQ(rng.engine()(), oracle.engine()())
+          << "rate " << rate << " size " << size;
+    }
   }
 }
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -115,6 +116,29 @@ TEST(LinearTest, BackwardReturnsInputGradient) {
   // dx = dy W^T: with dy = e0, dx = first column of W.
   EXPECT_NEAR(dx(0, 0), layer.weight()(0, 0), 1e-6f);
   EXPECT_NEAR(dx(0, 2), layer.weight()(2, 0), 1e-6f);
+}
+
+TEST(LinearTest, BackwardParamsMatchesBackward) {
+  Rng rng(6);
+  Linear full(48, 8, rng);
+  Linear params_only = full;
+  Matrix x(64, 48);
+  x.GaussianInit(rng, 1.0f);
+  Matrix dy(64, 8);
+  dy.GaussianInit(rng, 1.0f);
+  // Two steps, so accumulation into existing gradients is covered too.
+  for (int step = 0; step < 2; ++step) {
+    (void)full.Forward(x);
+    (void)params_only.Forward(x);
+    (void)full.Backward(dy);
+    params_only.BackwardParams(dy);
+  }
+  const std::vector<float> expected = FlattenGrads(full.Params());
+  const std::vector<float> actual = FlattenGrads(params_only.Params());
+  ASSERT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0);
 }
 
 TEST(MlpTest, ForwardShapesAndHidden) {
