@@ -1,10 +1,11 @@
 // Server-plane scaling benchmark: per-round Eq. 6+7 server time versus
 // participant count, comparing the seed's scalar path against the GEMM
-// similarity plane (exact sweep and LSH-pruned candidate generation) with
-// the deduplicated parallel Eq. 7. Writes BENCH_server_scale.json — the
-// artifact behind the ≥5× 10k-participant server speedup claim (DESIGN.md
-// §5h) — and hard-fails if the aggregation sets diverge between modes or
-// the 10k speedup drops below 5×.
+// similarity plane's exact row-panel sweep with the deduplicated parallel
+// Eq. 7, and against the same plane sharded over regional aggregators.
+// Writes BENCH_server_scale.json — the artifact behind the ≥5×
+// 10k-participant server speedup claim (DESIGN.md §5h) — and hard-fails if
+// the aggregation sets or weights diverge between arms, the 10k speedup
+// drops below 5×, or a shard's state reaches the single-server footprint.
 
 #include <algorithm>
 #include <cmath>
@@ -140,29 +141,22 @@ int64_t CounterValue(const char* name) {
 
 struct ArmResult {
   double seconds = 0.0;
-  int64_t pairs_exact = 0;
-  int64_t pairs_pruned = 0;
   int64_t unique_sets = 0;
   std::vector<std::vector<int>> sets;
   std::vector<std::vector<float>> personalized;
 };
 
-ArmResult RunPlaneArm(const Round& round, SimilarityMode mode) {
+ArmResult RunPlaneArm(const Round& round) {
   FedGtaOptions options;
   options.epsilon = kEpsilon;
-  options.similarity.mode = mode;
   const int n = static_cast<int>(round.metrics.size());
   std::vector<std::vector<float>> personalized(static_cast<size_t>(n));
-  const int64_t exact0 = CounterValue("fedgta.similarity.pairs_exact");
-  const int64_t pruned0 = CounterValue("fedgta.similarity.pairs_pruned");
   const int64_t unique0 = CounterValue("fedgta.aggregation.unique_sets");
   ArmResult arm;
   WallTimer timer;
   FedGtaAggregate(round.metrics, round.params, round.train_sizes,
                   round.participants, options, &personalized, &arm.sets);
   arm.seconds = timer.Seconds();
-  arm.pairs_exact = CounterValue("fedgta.similarity.pairs_exact") - exact0;
-  arm.pairs_pruned = CounterValue("fedgta.similarity.pairs_pruned") - pruned0;
   arm.unique_sets = CounterValue("fedgta.aggregation.unique_sets") - unique0;
   arm.personalized = std::move(personalized);
   return arm;
@@ -183,23 +177,19 @@ struct ShardedResult {
   double seconds = 0.0;
   int64_t unique_sets = 0;
   /// Largest per-shard participant-state footprint: staged params and
-  /// moments + the broadcast moment frame + its LSH signatures.
+  /// moments + the broadcast moment frame.
   int64_t peak_state_bytes = 0;
 };
 
-int64_t ShardStateBytes(int staged, int frame_rows,
-                        const SimilarityPlaneOptions& plane) {
-  const int64_t sig_words = (plane.lsh_signature_bits + 63) / 64;
+int64_t ShardStateBytes(int staged, int frame_rows) {
   return static_cast<int64_t>(staged) * (kParamDim + kMomentDim) * 4 +
-         static_cast<int64_t>(frame_rows) * kMomentDim * 4 +
-         static_cast<int64_t>(frame_rows) * sig_words * 8;
+         static_cast<int64_t>(frame_rows) * kMomentDim * 4;
 }
 
 ShardedResult RunShardedArm(const Round& round, int num_shards,
                             const ArmResult& oracle) {
   FedGtaOptions options;
   options.epsilon = kEpsilon;
-  options.similarity.mode = SimilarityMode::kLsh;
   const int n = static_cast<int>(round.metrics.size());
   const fed::Topology topo(n, num_shards, num_shards);
   ShardedResult result;
@@ -235,7 +225,7 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
   for (int a = 0; a < num_shards; ++a) {
     const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
     const Result<std::vector<std::vector<int>>> sets =
-        plane.BuildSets(round.participants, frame, nullptr);
+        plane.BuildSets(round.participants, frame);
     FEDGTA_CHECK(sets.ok()) << sets.status();
     FEDGTA_CHECK_EQ(sets->size(), plane.staged().size());
     for (size_t r = 0; r < sets->size(); ++r) {
@@ -279,7 +269,7 @@ ShardedResult RunShardedArm(const Round& round, int num_shards,
         result.peak_state_bytes,
         ShardStateBytes(
             static_cast<int>(planes[static_cast<size_t>(a)]->staged().size()),
-            n, options.similarity));
+            n));
   }
   return result;
 }
@@ -298,9 +288,7 @@ ArmResult RunSeedArm(const Round& round) {
   SeedAggregate(round.metrics, round.params, round.participants, arm.sets,
                 &personalized);
   arm.seconds = timer.Seconds();
-  arm.pairs_exact =
-      static_cast<int64_t>(n) * (n - 1);  // every ordered pair, scalar
-  arm.unique_sets = n;                    // one weight vector per client
+  arm.unique_sets = n;  // one weight vector per client
   return arm;
 }
 
@@ -310,7 +298,6 @@ struct SweepPoint {
   int participants = 0;
   ArmResult seed;
   ArmResult exact;
-  ArmResult lsh;
   ShardedResult sharded;
   int64_t single_server_state_bytes = 0;
 };
@@ -336,14 +323,11 @@ void Run(const char* out_path) {
     SweepPoint point;
     point.participants = n;
     point.seed = RunSeedArm(round);
-    point.exact = RunPlaneArm(round, SimilarityMode::kExact);
-    point.lsh = RunPlaneArm(round, SimilarityMode::kLsh);
+    point.exact = RunPlaneArm(round);
 
-    // Parity across all three arms: identical Eq. 6 sets.
+    // Parity: identical Eq. 6 sets.
     FEDGTA_CHECK(point.exact.sets == point.seed.sets)
         << "exact-plane sets diverge from seed scalar sets at n=" << n;
-    FEDGTA_CHECK(point.lsh.sets == point.exact.sets)
-        << "lsh sets diverge from exact sets at n=" << n;
 
     // Sharded arm (bit-identity CHECKed inside against the exact arm).
     point.sharded = RunShardedArm(round, kShards, point.exact);
@@ -351,17 +335,12 @@ void Run(const char* out_path) {
         static_cast<int64_t>(n) * (kParamDim + kMomentDim) * 4;
 
     std::printf(
-        "  seed    %8.3f s\n  exact   %8.3f s (%.1fx)\n  lsh     %8.3f s "
-        "(%.1fx, pruned %lld/%lld pairs, %lld unique sets)\n"
+        "  seed    %8.3f s\n  exact   %8.3f s (%.1fx, %lld unique sets)\n"
         "  sharded %8.3f s (K=%d, peak state %.1f MB vs %.1f MB "
         "single-server, bit-identical)\n",
         point.seed.seconds, point.exact.seconds,
-        point.seed.seconds / point.exact.seconds, point.lsh.seconds,
-        point.seed.seconds / point.lsh.seconds,
-        static_cast<long long>(point.lsh.pairs_pruned),
-        static_cast<long long>(point.lsh.pairs_pruned +
-                               point.lsh.pairs_exact),
-        static_cast<long long>(point.lsh.unique_sets),
+        point.seed.seconds / point.exact.seconds,
+        static_cast<long long>(point.exact.unique_sets),
         point.sharded.seconds, kShards,
         static_cast<double>(point.sharded.peak_state_bytes) / 1e6,
         static_cast<double>(point.single_server_state_bytes) / 1e6);
@@ -370,9 +349,7 @@ void Run(const char* out_path) {
   }
 
   const SweepPoint& at10k = points.back();
-  const double best_seconds =
-      std::min(at10k.exact.seconds, at10k.lsh.seconds);
-  const double speedup_10k = at10k.seed.seconds / best_seconds;
+  const double speedup_10k = at10k.seed.seconds / at10k.exact.seconds;
   FEDGTA_CHECK_GE(speedup_10k, 5.0)
       << "10k-participant server plane speedup regressed below 5x";
   // The hierarchy's memory claim (DESIGN.md §5k): at 10k participants no
@@ -396,19 +373,15 @@ void Run(const char* out_path) {
     std::fprintf(
         f,
         "    {\"participants\": %d, \"seed_scalar_seconds\": %.4f,\n"
-        "     \"exact_seconds\": %.4f, \"lsh_seconds\": %.4f,\n"
-        "     \"speedup_exact\": %.2f, \"speedup_lsh\": %.2f,\n"
-        "     \"lsh_pairs_pruned\": %lld, \"lsh_pairs_exact\": %lld,\n"
+        "     \"exact_seconds\": %.4f, \"speedup_exact\": %.2f,\n"
         "     \"unique_sets\": %lld, \"sets_match\": true,\n"
         "     \"sharded\": {\"shards\": %d, \"seconds\": %.4f,\n"
         "      \"unique_sets\": %lld, \"peak_state_bytes\": %lld,\n"
         "      \"single_server_state_bytes\": %lld,\n"
         "      \"bit_identical\": true}}%s\n",
-        p.participants, p.seed.seconds, p.exact.seconds, p.lsh.seconds,
-        p.seed.seconds / p.exact.seconds, p.seed.seconds / p.lsh.seconds,
-        static_cast<long long>(p.lsh.pairs_pruned),
-        static_cast<long long>(p.lsh.pairs_exact),
-        static_cast<long long>(p.lsh.unique_sets), kShards,
+        p.participants, p.seed.seconds, p.exact.seconds,
+        p.seed.seconds / p.exact.seconds,
+        static_cast<long long>(p.exact.unique_sets), kShards,
         p.sharded.seconds, static_cast<long long>(p.sharded.unique_sets),
         static_cast<long long>(p.sharded.peak_state_bytes),
         static_cast<long long>(p.single_server_state_bytes),

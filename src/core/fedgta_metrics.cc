@@ -152,9 +152,7 @@ void FedGtaAggregate(const std::vector<ClientMetrics>& metrics,
                                      static_cast<int>(metrics.size()),
                                      epsilon);
     } else {
-      sets = BuildAggregationSets(
-          moments, participants, options.epsilon, options.similarity,
-          ParticipantRows{0, static_cast<int64_t>(participants.size())});
+      sets = BuildAggregationSets(moments, participants, options.epsilon);
     }
   }
 

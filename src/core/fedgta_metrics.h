@@ -1,6 +1,7 @@
 #ifndef FEDGTA_CORE_FEDGTA_METRICS_H_
 #define FEDGTA_CORE_FEDGTA_METRICS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/similarity.h"
@@ -9,6 +10,16 @@
 #include "linalg/matrix.h"
 
 namespace fedgta {
+
+/// Settings of the deleted Eq. 6 similarity modes. Nothing in the library
+/// reads them: Eq. 6 always runs the exact GEMM sweep (DESIGN.md §5h).
+/// They remain only so the end-to-end benchmark (perfbench/bench_main.cc),
+/// which still sets them, keeps compiling; they go once it stops.
+enum class SimilarityMode { kExact, kAuto };
+struct SimilarityPlaneOptions {
+  SimilarityMode mode = SimilarityMode::kExact;
+  uint64_t lsh_seed = 0;
+};
 
 /// FedGTA hyperparameters (paper §3.1 defaults: α = 1/2, k = 5).
 struct FedGtaOptions {
@@ -44,9 +55,7 @@ struct FedGtaOptions {
   bool adaptive_epsilon = false;
   double adaptive_quantile = 0.5;
 
-  /// Server similarity plane (Eq. 6 evaluation strategy). Adaptive-ε always
-  /// computes the full exact block — the quantile needs every pair — so the
-  /// mode only affects fixed-ε rounds.
+  /// Unread; see SimilarityPlaneOptions.
   SimilarityPlaneOptions similarity;
 };
 

@@ -1,14 +1,10 @@
 #include "core/similarity.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "linalg/backend.h"
 #include "linalg/ops.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
@@ -17,106 +13,11 @@ namespace fedgta {
 
 namespace {
 
-constexpr double kPi = 3.14159265358979323846;
+/// Ordered participant pairs judged by Eq. 6.
+constexpr char kPairsCounter[] = "fedgta.similarity.pairs_exact";
 
-void RecordSetStats(const SimilarityStats& stats) {
-  MetricsRegistry& metrics = GlobalMetrics();
-  if (stats.pairs_exact > 0) {
-    metrics.GetCounter("fedgta.similarity.pairs_exact")
-        .Increment(stats.pairs_exact);
-  }
-  if (stats.pairs_pruned > 0) {
-    metrics.GetCounter("fedgta.similarity.pairs_pruned")
-        .Increment(stats.pairs_pruned);
-  }
-  metrics
-      .GetCounter(std::string("fedgta.similarity.mode.") +
-                  std::string(SimilarityModeName(stats.mode_used)))
-      .Increment();
-}
-
-/// Resolved LSH geometry for one (ε, plane) pair.
-struct LshShape {
-  /// Packed signature width: words 64-bit words = bits sign bits.
-  int64_t words = 1;
-  int64_t bits = 64;
-  /// Prune threshold in Hamming bits: a pair survives the prescreen iff
-  /// its signature distance is <= h_max (bits keeps every pair).
-  int64_t h_max = 64;
-};
-
-LshShape LshShapeFor(double epsilon, const SimilarityPlaneOptions& plane) {
-  LshShape shape;
-  shape.words = std::max<int64_t>(1, (plane.lsh_signature_bits + 63) / 64);
-  shape.bits = shape.words * 64;
-  // The prune threshold in Hamming bits. A keep-limit >= 1 keeps every
-  // pair (ε <= -1 admits everything; the screen must not prune).
-  const double t_eps = std::acos(std::clamp(epsilon, -1.0, 1.0)) / kPi;
-  const double keep_limit = t_eps + plane.lsh_margin;
-  shape.h_max = keep_limit >= 1.0
-                    ? shape.bits
-                    : static_cast<int64_t>(keep_limit *
-                                           static_cast<double>(shape.bits));
-  return shape;
-}
-
-/// Packed sign-random-projection signatures of the normalized moment rows,
-/// row-major `normalized.rows() x shape.words`. The projection matrix
-/// depends only on (plane.lsh_seed, moment dimension) and each row is
-/// hashed independently.
-std::vector<uint64_t> ComputeLshSignatures(
-    const Matrix& normalized, const SimilarityPlaneOptions& plane) {
-  const int64_t p = normalized.rows();
-  const int64_t d = normalized.cols();
-  const LshShape shape = LshShapeFor(/*epsilon=*/1.0, plane);
-  const int64_t words = shape.words;
-  const int64_t bits = shape.bits;
-  std::vector<uint64_t> sig(static_cast<size_t>(p * words), 0);
-  // Shared random hyperplanes: one projection GEMM, then sign-pack. The
-  // plane depends only on (seed, moment dimension), so every round with
-  // the same upload shape reuses the same hash family.
-  Rng rng(plane.lsh_seed);
-  Matrix planes(d, bits);
-  planes.GaussianInit(rng, 1.0f);
-  const Matrix proj = MatMul(normalized, planes);
-  ParallelForChunked(0, p, [&](int64_t lo, int64_t hi) {
-    for (int64_t a = lo; a < hi; ++a) {
-      const float* row = proj.data() + a * bits;
-      uint64_t* out = sig.data() + a * words;
-      for (int64_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        const float* src = row + w * 64;
-        for (int64_t l = 0; l < 64; ++l) {
-          if (src[l] >= 0.0f) word |= uint64_t{1} << l;
-        }
-        out[w] = word;
-      }
-    }
-  });
-  return sig;
-}
-
-/// One exact similarity row through the backend GEMM: sims (resized to
-/// 1 x gathered.rows()) gets the cosine of `row` (length gathered.cols(),
-/// already normalized) against every gathered row. Bit-identical per
-/// element to the full-block sweep (chunk-invariance contract of
-/// GemmRows), which keeps LSH candidate checks on the exact oracle's
-/// arithmetic.
-void ExactSimilarityRow(const float* row, const Matrix& gathered,
-                        Matrix* sims) {
-  const int64_t c = gathered.rows();
-  const int64_t d = gathered.cols();
-  sims->EnsureShape(1, c);
-  linalg::GemmCall call;
-  call.a = {row, d, 1};
-  call.b = {gathered.data(), 1, d};  // transposed gathered view
-  call.m = 1;
-  call.n = c;
-  call.k = d;
-  call.alpha = 1.0f;
-  call.beta = 0.0f;
-  call.c = sims->data();
-  linalg::ActiveBackend().GemmRows(call, 0, 1);
+void RecordPairs(int64_t pairs) {
+  if (pairs > 0) GlobalMetrics().GetCounter(kPairsCounter).Increment(pairs);
 }
 
 /// Row panel height for the exact sweep: bounds the transient block buffer
@@ -124,128 +25,6 @@ void ExactSimilarityRow(const float* row, const Matrix& gathered,
 int64_t SweepPanelRows(int64_t p) {
   return std::clamp<int64_t>((int64_t{1} << 21) / std::max<int64_t>(1, p),
                              16, std::max<int64_t>(1, p));
-}
-
-/// Exact Eq. 6: sweep the cosine block in row panels through the backend
-/// GEMM; per-element values are bit-identical to the one-shot full block
-/// (chunk-invariance contract of GemmRows).
-std::vector<std::vector<int>> SetsViaExactSweep(
-    const Matrix& normalized, const std::vector<int>& participants,
-    ParticipantRows rows, int num_clients, double epsilon,
-    SimilarityStats* stats) {
-  FEDGTA_PHASE_SCOPE("similarity");
-  const int64_t p = normalized.rows();
-  const float eps = static_cast<float>(epsilon);
-  std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
-  const int64_t panel = SweepPanelRows(p);
-  Matrix block;
-  for (int64_t r0 = rows.begin; r0 < rows.end; r0 += panel) {
-    const int64_t r1 = std::min<int64_t>(rows.end, r0 + panel);
-    block.EnsureShape(r1 - r0, p);
-    GemmRowBlockABt(normalized, r0, r1, normalized, &block);
-    ParallelForChunked(
-        r0, r1,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t a = lo; a < hi; ++a) {
-            const float* row = block.data() + (a - r0) * p;
-            auto& set = sets[static_cast<size_t>(
-                participants[static_cast<size_t>(a)])];
-            set.push_back(participants[static_cast<size_t>(a)]);
-            for (int64_t b = 0; b < p; ++b) {
-              if (b == a) continue;
-              if (row[b] >= eps) {
-                set.push_back(participants[static_cast<size_t>(b)]);
-              }
-            }
-          }
-        },
-        /*min_chunk=*/1);
-  }
-  stats->pairs_exact += (rows.end - rows.begin) * (p - 1);
-  stats->mode_used = SimilarityMode::kExact;
-  return sets;
-}
-
-/// LSH Eq. 6: pack sign-random-projection signatures, prune pairs whose
-/// Hamming-estimated angle exceeds acos(ε)/π + margin, and exact-check the
-/// survivors through the same backend GEMM kernel as the exact sweep (the
-/// per-element accumulation order over the moment dimension is fixed by
-/// the backend, so surviving pairs get bit-identical similarity values).
-std::vector<std::vector<int>> SetsViaLsh(const Matrix& normalized,
-                                         const std::vector<int>& participants,
-                                         ParticipantRows rows, int num_clients,
-                                         double epsilon,
-                                         const SimilarityPlaneOptions& plane,
-                                         SimilarityStats* stats) {
-  const int64_t p = normalized.rows();
-  const int64_t d = normalized.cols();
-  const float eps = static_cast<float>(epsilon);
-  const LshShape shape = LshShapeFor(epsilon, plane);
-  const int64_t words = shape.words;
-  const int64_t h_max = shape.h_max;
-
-  std::vector<uint64_t> sig;
-  {
-    FEDGTA_PHASE_SCOPE("similarity_candidates");
-    sig = ComputeLshSignatures(normalized, plane);
-  }
-
-  FEDGTA_PHASE_SCOPE("similarity");
-  std::vector<std::vector<int>> sets(static_cast<size_t>(num_clients));
-  std::atomic<int64_t> pruned{0};
-  std::atomic<int64_t> exact{0};
-  ParallelForChunked(
-      rows.begin, rows.end,
-      [&](int64_t lo, int64_t hi) {
-        int64_t local_pruned = 0;
-        int64_t local_exact = 0;
-        std::vector<int64_t> cand;
-        Matrix gathered;
-        Matrix sims;
-        for (int64_t a = lo; a < hi; ++a) {
-          const int i = participants[static_cast<size_t>(a)];
-          auto& set = sets[static_cast<size_t>(i)];
-          set.push_back(i);
-          cand.clear();
-          const uint64_t* sa = sig.data() + a * words;
-          for (int64_t b = 0; b < p; ++b) {
-            if (b == a) continue;
-            const uint64_t* sb = sig.data() + b * words;
-            int64_t h = 0;
-            for (int64_t w = 0; w < words; ++w) {
-              h += std::popcount(sa[w] ^ sb[w]);
-            }
-            if (h > h_max) {
-              ++local_pruned;
-            } else {
-              cand.push_back(b);
-            }
-          }
-          local_exact += static_cast<int64_t>(cand.size());
-          if (cand.empty()) continue;
-          const int64_t c = static_cast<int64_t>(cand.size());
-          gathered.EnsureShape(c, d);
-          for (int64_t idx = 0; idx < c; ++idx) {
-            std::memcpy(gathered.data() + idx * d,
-                        normalized.data() + cand[static_cast<size_t>(idx)] * d,
-                        static_cast<size_t>(d) * sizeof(float));
-          }
-          ExactSimilarityRow(normalized.data() + a * d, gathered, &sims);
-          for (int64_t idx = 0; idx < c; ++idx) {
-            if (sims.data()[idx] >= eps) {
-              set.push_back(participants[static_cast<size_t>(
-                  cand[static_cast<size_t>(idx)])]);
-            }
-          }
-        }
-        pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-        exact.fetch_add(local_exact, std::memory_order_relaxed);
-      },
-      /*min_chunk=*/1);
-  stats->pairs_pruned += pruned.load(std::memory_order_relaxed);
-  stats->pairs_exact += exact.load(std::memory_order_relaxed);
-  stats->mode_used = SimilarityMode::kLsh;
-  return sets;
 }
 
 double QuantileOfPairValues(std::vector<float>* values, double q) {
@@ -262,32 +41,6 @@ double QuantileOfPairValues(std::vector<float>* values, double q) {
 }
 
 }  // namespace
-
-bool ParseSimilarityMode(std::string_view name, SimilarityMode* mode) {
-  FEDGTA_CHECK(mode != nullptr);
-  if (name == "exact") {
-    *mode = SimilarityMode::kExact;
-  } else if (name == "auto") {
-    *mode = SimilarityMode::kAuto;
-  } else if (name == "lsh") {
-    *mode = SimilarityMode::kLsh;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::string_view SimilarityModeName(SimilarityMode mode) {
-  switch (mode) {
-    case SimilarityMode::kExact:
-      return "exact";
-    case SimilarityMode::kAuto:
-      return "auto";
-    case SimilarityMode::kLsh:
-      return "lsh";
-  }
-  return "exact";
-}
 
 Matrix StackNormalizedMoments(const std::vector<std::vector<float>>& moments,
                               const std::vector<int>& participants) {
@@ -362,10 +115,7 @@ std::vector<std::vector<int>> SetsFromSimilarityBlock(
       }
     }
   }
-  SimilarityStats stats;
-  stats.pairs_exact = p * (p - 1);
-  stats.mode_used = SimilarityMode::kExact;
-  RecordSetStats(stats);
+  RecordPairs(p * (p - 1));
   return sets;
 }
 
@@ -386,41 +136,51 @@ double SimilarityQuantile(const SimilarityBlock& block, double q) {
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon) {
-  SimilarityPlaneOptions exact;
   return BuildAggregationSets(
-      moments, participants, epsilon, exact,
+      moments, participants, epsilon,
       ParticipantRows{0, static_cast<int64_t>(participants.size())});
 }
 
 std::vector<std::vector<int>> BuildAggregationSets(
     const std::vector<std::vector<float>>& moments,
     const std::vector<int>& participants, double epsilon,
-    const SimilarityPlaneOptions& plane, ParticipantRows rows,
-    SimilarityStats* stats) {
+    ParticipantRows rows) {
   const Matrix normalized = StackNormalizedMoments(moments, participants);
   const int64_t p = normalized.rows();
   FEDGTA_CHECK(0 <= rows.begin && rows.begin <= rows.end && rows.end <= p)
       << "participant rows [" << rows.begin << ", " << rows.end
       << ") outside [0, " << p << ")";
-  SimilarityMode mode = plane.mode;
-  if (mode == SimilarityMode::kAuto) {
-    mode = p >= plane.auto_lsh_min_participants ? SimilarityMode::kLsh
-                                                : SimilarityMode::kExact;
+  // Sweep the cosine block in row panels through the backend GEMM;
+  // per-element values are bit-identical to the one-shot full block
+  // (chunk-invariance contract of GemmRows).
+  FEDGTA_PHASE_SCOPE("similarity");
+  const float eps = static_cast<float>(epsilon);
+  std::vector<std::vector<int>> sets(moments.size());
+  const int64_t panel = SweepPanelRows(p);
+  Matrix block;
+  for (int64_t r0 = rows.begin; r0 < rows.end; r0 += panel) {
+    const int64_t r1 = std::min<int64_t>(rows.end, r0 + panel);
+    block.EnsureShape(r1 - r0, p);
+    GemmRowBlockABt(normalized, r0, r1, normalized, &block);
+    ParallelForChunked(
+        r0, r1,
+        [&](int64_t lo, int64_t hi) {
+          for (int64_t a = lo; a < hi; ++a) {
+            const float* row = block.data() + (a - r0) * p;
+            auto& set = sets[static_cast<size_t>(
+                participants[static_cast<size_t>(a)])];
+            set.push_back(participants[static_cast<size_t>(a)]);
+            for (int64_t b = 0; b < p; ++b) {
+              if (b == a) continue;
+              if (row[b] >= eps) {
+                set.push_back(participants[static_cast<size_t>(b)]);
+              }
+            }
+          }
+        },
+        /*min_chunk=*/1);
   }
-  SimilarityStats local;
-  const int num_clients = static_cast<int>(moments.size());
-  std::vector<std::vector<int>> sets =
-      mode == SimilarityMode::kLsh
-          ? SetsViaLsh(normalized, participants, rows, num_clients, epsilon,
-                       plane, &local)
-          : SetsViaExactSweep(normalized, participants, rows, num_clients,
-                              epsilon, &local);
-  RecordSetStats(local);
-  if (stats != nullptr) {
-    stats->pairs_exact += local.pairs_exact;
-    stats->pairs_pruned += local.pairs_pruned;
-    stats->mode_used = local.mode_used;
-  }
+  RecordPairs((rows.end - rows.begin) * (p - 1));
   return sets;
 }
 

@@ -79,8 +79,6 @@ const FlagDef kFlags[] = {
      }},
     {"epsilon", kRun | kSrv,
      [](ExperimentCli& c, const std::string& v) { c.epsilon = ToDouble(v); }},
-    {"similarity_mode", kRun | kSrv,
-     [](ExperimentCli& c, const std::string& v) { c.similarity_mode = v; }},
     {"seed", kRun | kSrv,
      [](ExperimentCli& c, const std::string& v) { c.seed = ToUint64(v); }},
     // Failure injection.
@@ -389,11 +387,6 @@ Status Validate(Role role, ExperimentCli* cli) {
     }
   }
 
-  if (!ParseSimilarityMode(cli->similarity_mode,
-                           &cli->similarity_mode_parsed)) {
-    return Invalid("--similarity_mode must be exact, auto, or lsh (got: " +
-                   cli->similarity_mode + ")");
-  }
   const Result<ModelType> model = ParseModelType(cli->model);
   if (!model.ok()) return model.status();
   cli->model_type = *model;
@@ -424,7 +417,6 @@ StrategyOptions ExperimentCli::ToStrategyOptions() const {
   options.fedgta.epsilon = epsilon;
   options.fedgta.adaptive_epsilon = adaptive_epsilon;
   options.fedgta.use_feature_moments = feature_moments;
-  options.fedgta.similarity.mode = similarity_mode_parsed;
   return options;
 }
 
@@ -544,12 +536,6 @@ std::string HelpText(Role role) {
           "0)\n"
           "  --epsilon=F           FedGTA similarity threshold (default "
           "0.3)\n"
-          "  --similarity_mode=M   Eq. 6 evaluation: exact | auto | lsh.\n"
-          "                        exact is the determinism oracle; lsh "
-          "prunes\n"
-          "                        pairs provably below ε before the exact\n"
-          "                        cosine check; auto picks lsh at >= 512\n"
-          "                        participants (default exact)\n"
           "  --adaptive-epsilon    use the adaptive-ε extension\n"
           "  --feature-moments     use the FedGTA+feat extension\n"
           "  --repeats=N           independent runs (default 1)\n"
@@ -639,9 +625,6 @@ std::string HelpText(Role role) {
           "1.0)\n"
           "  --epsilon=F           FedGTA similarity threshold (default "
           "0.3)\n"
-          "  --similarity_mode=M   Eq. 6 evaluation: exact | auto | lsh\n"
-          "                        (default exact; see run_experiment "
-          "--help)\n"
           "  --seed=N              RNG seed (default 42)\n" +
           ThreadHelpLines() + BackendHelpLines() +
           "  --deadline_ms=N       per-RPC straggler deadline (default "

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/similarity.h"
 #include "data/registry.h"
 #include "eval/experiment.h"
 #include "fed/aggregator.h"
@@ -49,8 +48,6 @@ struct ExperimentCli {
   double epsilon = 0.3;
   bool adaptive_epsilon = false;
   bool feature_moments = false;
-  /// Eq. 6 evaluation strategy: exact | auto | lsh (DESIGN.md §5h).
-  std::string similarity_mode = "exact";
   uint64_t seed = 42;
 
   // Failure injection (run_experiment, server).
@@ -124,7 +121,6 @@ struct ExperimentCli {
   // Filled by validation (run_experiment, server).
   ModelType model_type = ModelType::kGamlp;
   SplitMethod split_method = SplitMethod::kLouvain;
-  SimilarityMode similarity_mode_parsed = SimilarityMode::kExact;
 
   /// Strategy options assembled from the flags above.
   StrategyOptions ToStrategyOptions() const;

@@ -168,11 +168,6 @@ Status Session::Handshake() {
     return Complain(sock_,
                     InvalidArgumentError("worker_index_base must be >= 0"));
   }
-  if (assign_.similarity_mode > static_cast<uint32_t>(SimilarityMode::kLsh)) {
-    return Complain(sock_, InvalidArgumentError(
-                               "unknown similarity mode " +
-                               std::to_string(assign_.similarity_mode)));
-  }
   relay_ = assign_.relay;
 
   if (!relay_) {
@@ -182,13 +177,6 @@ Status Session::Handshake() {
     gta_ = setup_.gta;
     gta_.epsilon = assign_.epsilon;
     gta_.disable_confidence = assign_.disable_confidence;
-    gta_.similarity.mode =
-        static_cast<SimilarityMode>(assign_.similarity_mode);
-    gta_.similarity.lsh_signature_bits = assign_.lsh_signature_bits;
-    gta_.similarity.lsh_margin = assign_.lsh_margin;
-    gta_.similarity.lsh_seed = assign_.lsh_seed;
-    gta_.similarity.auto_lsh_min_participants =
-        assign_.auto_lsh_min_participants;
     std::vector<int64_t> train_sizes;
     train_sizes.reserve(setup_.data.clients.size());
     for (const ClientData& client : setup_.data.clients) {
@@ -374,9 +362,8 @@ Result<net::RoutedMsg> Session::HandleSetBuild(const net::RoutedMsg& req) {
   }
   SetBuildBody body;
   FEDGTA_RETURN_IF_ERROR(UnpackEnvelope(req, EK::kSetBuild, &body));
-  SimilarityStats stats;
   Result<std::vector<std::vector<int>>> built =
-      plane_->BuildSets(body.survivors, std::move(body.moments), &stats);
+      plane_->BuildSets(body.survivors, std::move(body.moments));
   FEDGTA_RETURN_IF_ERROR(built.status());
   const std::vector<std::vector<int>>& sets = *built;
   const std::vector<int>& staged = plane_->staged();
@@ -389,8 +376,6 @@ Result<net::RoutedMsg> Session::HandleSetBuild(const net::RoutedMsg& req) {
   std::map<std::vector<int32_t>, std::vector<int>> local_groups;
   std::map<std::vector<int32_t>, size_t> cross_index;
   SetReportBody report;
-  report.pairs_exact = stats.pairs_exact;
-  report.pairs_pruned = stats.pairs_pruned;
   cross_rows_.clear();
   for (size_t a = 0; a < sets.size(); ++a) {
     std::vector<int32_t> canonical(sets[a].begin(), sets[a].end());

@@ -31,8 +31,7 @@ void FedGtaStrategy::Aggregate(const std::vector<int>& participants,
   FEDGTA_PHASE_SCOPE("aggregation");
   if (results.empty()) return;
   // Scatter uploads into id-indexed tables for the core aggregation. Eq. 6
-  // set building inside runs the similarity plane selected by
-  // options_.similarity (exact GEMM sweep or LSH-pruned; DESIGN.md §5h).
+  // set building inside sweeps the exact GEMM cosine block (DESIGN.md §5h).
   std::vector<ClientMetrics> metrics(static_cast<size_t>(num_clients_));
   std::vector<std::vector<float>> params(static_cast<size_t>(num_clients_));
   for (const LocalResult& r : results) {

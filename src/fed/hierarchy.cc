@@ -8,7 +8,6 @@
 
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/similarity.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -76,11 +75,6 @@ void ShardAssignBody::Encode(serialize::Writer* w) const {
   w->WriteBool(relay);
   w->WriteDouble(epsilon);
   w->WriteBool(disable_confidence);
-  w->WriteU32(similarity_mode);
-  w->WriteI32(lsh_signature_bits);
-  w->WriteDouble(lsh_margin);
-  w->WriteU64(lsh_seed);
-  w->WriteI32(auto_lsh_min_participants);
   w->WriteI64(hello_recv_us);
   w->WriteI64(assign_send_us);
 }
@@ -102,11 +96,6 @@ Status ShardAssignBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&relay));
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&epsilon));
   FEDGTA_RETURN_IF_ERROR(r->ReadBool(&disable_confidence));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&similarity_mode));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&lsh_signature_bits));
-  FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&lsh_margin));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU64(&lsh_seed));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI32(&auto_lsh_min_participants));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&hello_recv_us));
   return r->ReadI64(&assign_send_us);
 }
@@ -198,15 +187,11 @@ Status SetBuildBody::Decode(serialize::Reader* r) {
 void SetReportBody::Encode(serialize::Writer* w) const {
   WriteI32VecList(sets, w);
   w->WriteI64(local_unique);
-  w->WriteI64(pairs_exact);
-  w->WriteI64(pairs_pruned);
 }
 
 Status SetReportBody::Decode(serialize::Reader* r) {
   FEDGTA_RETURN_IF_ERROR(ReadI32VecList(r, &sets));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&local_unique));
-  FEDGTA_RETURN_IF_ERROR(r->ReadI64(&pairs_exact));
-  return r->ReadI64(&pairs_pruned);
+  return r->ReadI64(&local_unique);
 }
 
 void PartialAggregateBody::Encode(serialize::Writer* w) const {
@@ -393,6 +378,7 @@ Status RootCoordinator::Handshake() {
   aggs_.resize(static_cast<size_t>(num_aggs));
   param_count_ = -1;
   init_params_.clear();
+  // Assign every aggregator its shard first.
   for (int a = 0; a < num_aggs; ++a) {
     Result<net::Socket> accepted = server_.Accept(config_.accept_timeout_ms);
     FEDGTA_RETURN_IF_ERROR(accepted.status());
@@ -424,27 +410,26 @@ Status RootCoordinator::Handshake() {
     assign.relay = relay_;
     assign.epsilon = gta_.epsilon;
     assign.disable_confidence = gta_.disable_confidence;
-    assign.similarity_mode = static_cast<uint32_t>(gta_.similarity.mode);
-    assign.lsh_signature_bits = gta_.similarity.lsh_signature_bits;
-    assign.lsh_margin = gta_.similarity.lsh_margin;
-    assign.lsh_seed = gta_.similarity.lsh_seed;
-    assign.auto_lsh_min_participants =
-        gta_.similarity.auto_lsh_min_participants;
     assign.hello_recv_us = hello_recv_us;
     assign.assign_send_us = internal_obs::TraceNowMicros();
 
-    // The ShardReady reply waits on the aggregator accepting its whole
-    // worker slice, so this exchange runs on a stretched deadline (the
-    // regular per-RPC budget resumes afterwards).
-    const net::RoutedMsg request =
-        MakeEnvelope(net::EnvelopeKind::kShardAssign, 0, assign);
-    FEDGTA_RETURN_IF_ERROR(net::SendMessage(channel.socket(), request));
-    FEDGTA_RETURN_IF_ERROR(channel.socket().SetRecvTimeout(
-        config_.accept_timeout_ms + config_.rpc.deadline_ms));
+    FEDGTA_RETURN_IF_ERROR(net::SendMessage(
+        channel.socket(),
+        MakeEnvelope(net::EnvelopeKind::kShardAssign, 0, assign)));
+    link.channel = std::move(channel);
+  }
+  // Only then collect the replies: an aggregator publishes its worker port
+  // after its ShardAssign, so a launcher that starts workers once every
+  // port is known would deadlock an assign-then-wait loop. Each ShardReady
+  // waits on its aggregator accepting a whole worker slice, so it runs on
+  // a stretched deadline (the regular per-RPC budget resumes afterwards).
+  for (AggregatorLink& link : aggs_) {
+    net::Socket& socket = link.channel.socket();
+    FEDGTA_RETURN_IF_ERROR(socket.SetRecvTimeout(config_.accept_timeout_ms +
+                                                 config_.rpc.deadline_ms));
     net::RoutedMsg response;
-    FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(channel.socket(), &response));
-    FEDGTA_RETURN_IF_ERROR(
-        channel.socket().SetRecvTimeout(config_.rpc.deadline_ms));
+    FEDGTA_RETURN_IF_ERROR(net::ExpectMessage(socket, &response));
+    FEDGTA_RETURN_IF_ERROR(socket.SetRecvTimeout(config_.rpc.deadline_ms));
     ShardReadyBody ready;
     FEDGTA_RETURN_IF_ERROR(
         UnpackEnvelope(response, net::EnvelopeKind::kShardReady, &ready));
@@ -461,7 +446,6 @@ Status RootCoordinator::Handshake() {
       init_params_ = std::move(ready.init_params);
     }
     link.status_port = ready.status_port;
-    link.channel = std::move(channel);
   }
   if (init_params_.empty()) {
     return InternalError(
@@ -589,22 +573,11 @@ Status RootCoordinator::AggregateFedGta(
       }
     }
   }
-  {
-    int64_t pairs_exact = 0;
-    int64_t pairs_pruned = 0;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (!active[a]) continue;
-      pairs_exact += round_shards_[a].report.pairs_exact;
-      pairs_pruned += round_shards_[a].report.pairs_pruned;
-    }
-    if (pairs_exact > 0) {
-      metrics.GetCounter("fedgta.similarity.pairs_exact")
-          .Increment(pairs_exact);
-    }
-    if (pairs_pruned > 0) {
-      metrics.GetCounter("fedgta.similarity.pairs_pruned")
-          .Increment(pairs_pruned);
-    }
+  // Every ordered survivor pair is judged exactly once across the shards,
+  // so the single-server Eq. 6 pair count needs no report.
+  if (gp > 1) {
+    metrics.GetCounter("fedgta.similarity.pairs_exact")
+        .Increment(static_cast<int64_t>(gp * (gp - 1)));
   }
 
   // Phase 2: dedup the cross-shard canonical sets globally and compute

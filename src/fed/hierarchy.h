@@ -59,11 +59,6 @@ struct ShardAssignBody {
   // Server-side FedGTA aggregation knobs (never shipped to workers).
   double epsilon = 0.3;
   bool disable_confidence = false;
-  uint32_t similarity_mode = 0;  // SimilarityMode
-  int32_t lsh_signature_bits = 256;
-  double lsh_margin = 0.18;
-  uint64_t lsh_seed = 0x5EED5111ull;
-  int32_t auto_lsh_min_participants = 512;
   /// Clock sync echo (same NTP midpoint scheme as AssignConfig): root
   /// trace clock at Hello arrival / at this send.
   int64_t hello_recv_us = 0;
@@ -149,11 +144,6 @@ struct SetBuildBody {
 struct SetReportBody {
   std::vector<std::vector<int32_t>> sets;
   int64_t local_unique = 0;
-  /// The shard rows' Eq. 6 pair counts; each ordered pair is judged from
-  /// its row's shard exactly once, so the root's sums equal the
-  /// single-server counters.
-  int64_t pairs_exact = 0;
-  int64_t pairs_pruned = 0;
 
   void Encode(serialize::Writer* w) const;
   Status Decode(serialize::Reader* r);

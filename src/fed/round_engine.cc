@@ -374,8 +374,8 @@ std::string RenderRoundLatencies() {
 std::string RenderSimilarityCounters() {
   std::string plane;
   for (const char* name :
-       {"fedgta.similarity.pairs_exact", "fedgta.similarity.pairs_pruned",
-        "fedgta.aggregation.unique_sets", "fedgta.aggregation.dedup_reused"}) {
+       {"fedgta.similarity.pairs_exact", "fedgta.aggregation.unique_sets",
+        "fedgta.aggregation.dedup_reused"}) {
     const Counter* c = GlobalMetrics().FindCounter(name);
     if (c == nullptr) continue;
     plane += StrFormat("  %s: %lld\n", name,

@@ -42,8 +42,8 @@ void ShardPlane::StageRound(std::vector<ShardUpload> uploads) {
 }
 
 Result<std::vector<std::vector<int>>> ShardPlane::BuildSets(
-    const std::vector<int>& survivors, std::vector<std::vector<float>> moments,
-    SimilarityStats* stats) const {
+    const std::vector<int>& survivors,
+    std::vector<std::vector<float>> moments) const {
   if (moments.size() != survivors.size()) {
     return InvalidArgumentError(
         "survivor frame misaligned: " + std::to_string(survivors.size()) +
@@ -97,8 +97,7 @@ Result<std::vector<std::vector<int>>> ShardPlane::BuildSets(
     by_id[static_cast<size_t>(survivors[g])] = std::move(moments[g]);
   }
   std::vector<std::vector<int>> all =
-      BuildAggregationSets(by_id, survivors, options_.epsilon,
-                           options_.similarity, rows, stats);
+      BuildAggregationSets(by_id, survivors, options_.epsilon, rows);
   std::vector<std::vector<int>> sets;
   sets.reserve(staged_.size());
   for (int id : staged_) {

@@ -49,14 +49,14 @@ class ShardPlane {
   /// Eq. 6 for the staged rows. `survivors` is the round's global survivor
   /// frame (ascending client ids) and `moments` their uploaded moment
   /// vectors, aligned. Returns, per staged row, the row's own id followed
-  /// by every survivor whose cosine reaches ε, in frame order; `stats`
-  /// receives the rows' pair counts. A malformed frame — ids out of range
-  /// or not ascending, misaligned or ragged rows, a row of another length
-  /// than the staged uploads, or a shard slice that is not exactly the
-  /// staged survivors with their uploaded moments — is InvalidArgument.
+  /// by every survivor whose cosine reaches ε, in frame order. A malformed
+  /// frame — ids out of range or not ascending, misaligned or ragged rows,
+  /// a row of another length than the staged uploads, or a shard slice
+  /// that is not exactly the staged survivors with their uploaded moments
+  /// — is InvalidArgument.
   Result<std::vector<std::vector<int>>> BuildSets(
       const std::vector<int>& survivors,
-      std::vector<std::vector<float>> moments, SimilarityStats* stats) const;
+      std::vector<std::vector<float>> moments) const;
 
   /// Full Eq. 7 for a set whose members all live on this shard.
   std::vector<float> AggregateLocalSet(const std::vector<int>& canonical) const;

@@ -63,11 +63,6 @@ TEST(FlagsTest, UnknownStrategyIsRejected) {
   ExpectRejected("--strategy=bogus", "unknown strategy: bogus");
 }
 
-TEST(FlagsTest, UnknownSimilarityModeIsRejected) {
-  ExpectRejected("--similarity_mode=cosine",
-                 "--similarity_mode must be exact, auto, or lsh");
-}
-
 TEST(FlagsTest, UnknownDatasetIsRejected) {
   ExpectRejected("--dataset=imagenet", "unknown dataset: imagenet");
 }

@@ -3,11 +3,14 @@
 // children + fedgta_worker grandchildren over loopback TCP — must be
 // bit-identical to the in-process Simulation of the same configuration.
 // Also covers the relay plane (fedavg), the shardable-capability and async
-// rejections, and the root status endpoint's mid-tier table.
+// rejections, the root status endpoint's mid-tier table, and a bring-up
+// that starts no worker before every aggregator has published its port.
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +27,7 @@
 #include "fed/simulation.h"
 #include "net/rpc.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 
 namespace fedgta {
 namespace {
@@ -100,11 +104,19 @@ std::string QueryStatus(int port, const std::string& command) {
   return reply;
 }
 
+int64_t CounterValue(const char* name) {
+  const Counter* c = GlobalMetrics().FindCounter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
 /// Listens, forks the aggregator tier, runs the root in a thread, launches
 /// each shard's workers once its aggregator publishes a port file, and
-/// reaps the whole process tree.
+/// reaps the whole process tree. With `workers_after_all_ports` no worker
+/// starts before every aggregator's port file exists, as a fleet launcher
+/// that needs the full port map first would do.
 HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
-                                    bool agg_status_ports = false) {
+                                    bool agg_status_ports = false,
+                                    bool workers_after_all_ports = false) {
   HierarchicalOutcome out;
   fed::RootCoordinator root(config);
   if (const Status status = root.Listen(0); !status.ok()) {
@@ -125,42 +137,62 @@ HierarchicalOutcome RunHierarchical(const RemoteFedConfig& config,
   }
 
   Result<SimulationResult> result = InternalError("root thread never ran");
-  std::thread root_thread([&] { result = root.Run(); });
+  std::atomic<bool> root_done{false};
+  std::thread root_thread([&] {
+    result = root.Run();
+    root_done.store(true);
+  });
 
   // The aggregators publish their worker ports only after the root's
-  // ShardAssign, so polling doubles as the handshake barrier. Launch each
-  // shard's worker slice as soon as its file appears; a file that never
-  // appears surfaces as the root's accept timeout through `result`.
+  // ShardAssign, so polling doubles as the handshake barrier. A file that
+  // never appears surfaces as the root's accept timeout through `result`.
   const fed::Topology topo(config.split.num_clients, config.num_aggregators,
                            config.num_workers);
+  std::vector<int> ports(port_files.size(), 0);
+  std::vector<int> agg_index(port_files.size(), -1);
   std::vector<bool> launched(port_files.size(), false);
+  size_t published = 0;
   size_t remaining = port_files.size();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (remaining > 0 && std::chrono::steady_clock::now() < deadline) {
+  while (remaining > 0 && !root_done.load() &&
+         std::chrono::steady_clock::now() < deadline) {
     for (size_t f = 0; f < port_files.size(); ++f) {
-      if (launched[f]) continue;
-      int port = 0;
-      int agg_index = -1;
-      if (!ReadPortFile(port_files[f], &port, &agg_index)) continue;
-      EXPECT_LT(agg_index, config.num_aggregators);
-      for (int w = 0; w < topo.WorkerShard(agg_index).size(); ++w) {
-        pids.push_back(SpawnWorker(port));
+      if (ports[f] != 0 ||
+          !ReadPortFile(port_files[f], &ports[f], &agg_index[f])) {
+        continue;
+      }
+      EXPECT_LT(agg_index[f], config.num_aggregators);
+      ++published;
+    }
+    const bool may_launch =
+        !workers_after_all_ports || published == port_files.size();
+    for (size_t f = 0; f < port_files.size() && may_launch; ++f) {
+      if (launched[f] || ports[f] == 0) continue;
+      for (int w = 0; w < topo.WorkerShard(agg_index[f]).size(); ++w) {
+        pids.push_back(SpawnWorker(ports[f]));
       }
       launched[f] = true;
       --remaining;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(remaining, 0u) << "aggregator(s) never published a port file";
 
   root_thread.join();
   out.result = std::move(result);
+  if (out.result.ok()) {
+    EXPECT_EQ(remaining, 0u) << "aggregator(s) never published a port file";
+  }
   if (out.root_status_port > 0) {
     // Queried after the run: the aggregator processes are about to exit
     // (or already have), which is exactly the dead-mid-tier view the
     // status satellite wants visible.
     out.final_status = QueryStatus(out.root_status_port, "status");
+  }
+  // A failed root leaves its tree nothing to do, but an aggregator still
+  // waiting for its ShardAssign would sit out its own deadline.
+  if (!out.result.ok()) {
+    for (pid_t pid : pids) kill(pid, SIGKILL);
   }
   for (pid_t pid : pids) {
     int status = 0;
@@ -234,13 +266,25 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
   // root and mid-tier status endpoints live.
   RemoteFedConfig config = BaseConfig();
   config.status_port = 0;
+  const int64_t root_pairs_before =
+      CounterValue("fedgta.similarity.pairs_exact");
   const HierarchicalOutcome out =
       RunHierarchical(config, /*agg_status_ports=*/true);
+  const int64_t root_pairs =
+      CounterValue("fedgta.similarity.pairs_exact") - root_pairs_before;
   ASSERT_TRUE(out.result.ok()) << out.result.status();
   for (int code : out.exit_codes) EXPECT_EQ(code, 0);
+  const int64_t local_pairs_before =
+      CounterValue("fedgta.similarity.pairs_exact");
   const SimulationResult local = RunInProcess(config);
+  const int64_t local_pairs =
+      CounterValue("fedgta.similarity.pairs_exact") - local_pairs_before;
   ExpectBitIdentical(*out.result, local);
   EXPECT_GT(local.final_test_accuracy, 0.2);
+  // Eq. 6 runs on the aggregators; the root's own pair counter must still
+  // read what the in-process run counts.
+  EXPECT_EQ(root_pairs, local_pairs);
+  EXPECT_GT(root_pairs, 0);
 
   // Mid-tier visibility (satellite): the root's status table names every
   // aggregator with its shard bounds, and the live probe notices that the
@@ -256,16 +300,23 @@ TEST(HierarchyTest, FedGtaOverTwoAggregatorsIsBitIdenticalToSimulation) {
                         "workers=2"),
             std::string::npos)
       << status;
+}
 
-  // LSH set building: each aggregator prescreens its own rows against the
-  // whole survivor frame, exactly like the in-process LSH plane.
-  RemoteFedConfig lsh = BaseConfig();
-  lsh.strategy_options.fedgta.similarity.mode = SimilarityMode::kLsh;
-  const HierarchicalOutcome lsh_out = RunHierarchical(lsh);
-  ASSERT_TRUE(lsh_out.result.ok()) << lsh_out.result.status();
+TEST(HierarchyTest, WorkersStartedAfterEveryAggregatorPortIsBitIdentical) {
+  // A launcher that needs every aggregator's worker port before it starts
+  // any worker. The root must assign all shards before it waits on any
+  // ShardReady; otherwise the first aggregator's worker accept times out
+  // (short here, so a regression fails in seconds rather than hanging).
+  RemoteFedConfig config = BaseConfig();
+  config.accept_timeout_ms = 10000;
+  const HierarchicalOutcome out =
+      RunHierarchical(config, /*agg_status_ports=*/false,
+                      /*workers_after_all_ports=*/true);
+  ASSERT_TRUE(out.result.ok()) << out.result.status();
+  for (int code : out.exit_codes) EXPECT_EQ(code, 0);
   std::string diff;
   EXPECT_TRUE(
-      fed::DeterministicEquals(*lsh_out.result, RunInProcess(lsh), &diff))
+      fed::DeterministicEquals(*out.result, RunInProcess(config), &diff))
       << diff;
 }
 

@@ -1,8 +1,7 @@
 // Tests of the server similarity/aggregation plane (DESIGN.md §5h): the
-// GEMM-backed Eq. 6 block, the LSH candidate prescreen's exact-set parity,
-// row-range set building and the regional aggregators' ShardPlane
-// (DESIGN.md §5k), the nth_element quantile rewrite, and the deduplicated
-// parallel Eq. 7.
+// GEMM-backed Eq. 6 block, row-range set building and the regional
+// aggregators' ShardPlane (DESIGN.md §5k), the nth_element quantile
+// rewrite, and the deduplicated parallel Eq. 7.
 
 #include <algorithm>
 #include <cmath>
@@ -65,21 +64,6 @@ int64_t CounterValue(const char* name) {
   return c != nullptr ? c->value() : 0;
 }
 
-TEST(SimilarityModeTest, ParsesAllNamesAndRejectsUnknown) {
-  SimilarityMode mode = SimilarityMode::kLsh;
-  EXPECT_TRUE(ParseSimilarityMode("exact", &mode));
-  EXPECT_EQ(mode, SimilarityMode::kExact);
-  EXPECT_TRUE(ParseSimilarityMode("auto", &mode));
-  EXPECT_EQ(mode, SimilarityMode::kAuto);
-  EXPECT_TRUE(ParseSimilarityMode("lsh", &mode));
-  EXPECT_EQ(mode, SimilarityMode::kLsh);
-  EXPECT_FALSE(ParseSimilarityMode("cosine", &mode));
-  EXPECT_FALSE(ParseSimilarityMode("", &mode));
-  EXPECT_EQ(SimilarityModeName(SimilarityMode::kExact), "exact");
-  EXPECT_EQ(SimilarityModeName(SimilarityMode::kAuto), "auto");
-  EXPECT_EQ(SimilarityModeName(SimilarityMode::kLsh), "lsh");
-}
-
 TEST(SimilarityBlockTest, MatchesScalarCosine) {
   const auto moments = ClusteredMoments(17, 4, 23, /*seed=*/7);
   const auto participants = AllParticipants(17);
@@ -125,107 +109,6 @@ TEST(SimilarityQuantileTest, EmptyAndSingleParticipantReturnZero) {
         ComputeSimilarityBlock(moments, participants);
     EXPECT_EQ(SimilarityQuantile(block, 0.5), 0.0);
   }
-}
-
-// The tentpole parity contract: LSH-pruned set building returns exactly the
-// exact oracle's sets — same members, same order — because survivors are
-// exact-checked through the same GEMM kernel and the prescreen margin makes
-// false negatives vanishingly unlikely (deterministic here: fixed seeds).
-TEST(SimilarityParityTest, LshSetsMatchExactOracle) {
-  for (uint64_t seed : {5ull, 77ull, 991ull}) {
-    for (int n : {8, 60, 300}) {
-      for (double epsilon : {0.1, 0.3, 0.8}) {
-        const auto moments =
-            ClusteredMoments(n, std::max(2, n / 8), 31, seed, 0.15f);
-        const auto participants = AllParticipants(n);
-        const auto exact =
-            BuildAggregationSets(moments, participants, epsilon);
-        SimilarityPlaneOptions plane;
-        plane.mode = SimilarityMode::kLsh;
-        SimilarityStats stats;
-        const auto lsh = BuildAggregationSets(moments, participants, epsilon,
-                                              plane, AllRows(participants),
-                                              &stats);
-        EXPECT_EQ(exact, lsh)
-            << "n=" << n << " epsilon=" << epsilon << " seed=" << seed;
-        EXPECT_EQ(stats.mode_used, SimilarityMode::kLsh);
-        EXPECT_EQ(stats.pairs_exact + stats.pairs_pruned,
-                  static_cast<int64_t>(n) * (n - 1));
-      }
-    }
-  }
-}
-
-TEST(SimilarityParityTest, LshPrunesPairsOnSeparatedClusters) {
-  // Orthogonal-ish clusters at a high threshold: most cross-cluster pairs
-  // have Hamming distance far above the screen and must be pruned.
-  const int n = 120;
-  const auto moments = ClusteredMoments(n, 8, 64, /*seed=*/13, 0.02f);
-  const auto participants = AllParticipants(n);
-  SimilarityPlaneOptions plane;
-  plane.mode = SimilarityMode::kLsh;
-  SimilarityStats stats;
-  const auto lsh = BuildAggregationSets(moments, participants, 0.9, plane,
-                                        AllRows(participants), &stats);
-  EXPECT_EQ(lsh, BuildAggregationSets(moments, participants, 0.9));
-  EXPECT_GT(stats.pairs_pruned, 0);
-}
-
-TEST(SimilarityParityTest, AutoModeSwitchesOnParticipantCount) {
-  const auto moments = ClusteredMoments(20, 4, 16, /*seed=*/21);
-  SimilarityPlaneOptions plane;
-  plane.mode = SimilarityMode::kAuto;
-  plane.auto_lsh_min_participants = 12;
-
-  SimilarityStats small_stats;
-  std::vector<int> small(8);
-  for (int i = 0; i < 8; ++i) small[static_cast<size_t>(i)] = i;
-  (void)BuildAggregationSets(moments, small, 0.3, plane, AllRows(small),
-                             &small_stats);
-  EXPECT_EQ(small_stats.mode_used, SimilarityMode::kExact);
-
-  SimilarityStats large_stats;
-  const std::vector<int> large = AllParticipants(20);
-  (void)BuildAggregationSets(moments, large, 0.3, plane, AllRows(large),
-                             &large_stats);
-  EXPECT_EQ(large_stats.mode_used, SimilarityMode::kLsh);
-}
-
-// End-to-end Eq. 6+7: with LSH sets equal to exact sets, the personalized
-// weights must be bit-identical — same sets, same canonical accumulation.
-TEST(FedGtaAggregatePlaneTest, ExactAndLshWeightsBitIdentical) {
-  const int n = 64;
-  const int dim = 300;
-  Rng rng(99);
-  std::vector<ClientMetrics> metrics(static_cast<size_t>(n));
-  std::vector<std::vector<float>> params(static_cast<size_t>(n));
-  std::vector<int64_t> train_sizes(static_cast<size_t>(n));
-  const auto moments = ClusteredMoments(n, 6, 24, /*seed=*/41, 0.05f);
-  for (int i = 0; i < n; ++i) {
-    metrics[static_cast<size_t>(i)].moments = moments[static_cast<size_t>(i)];
-    metrics[static_cast<size_t>(i)].confidence = 0.5 + 0.01 * i;
-    params[static_cast<size_t>(i)].resize(static_cast<size_t>(dim));
-    for (float& x : params[static_cast<size_t>(i)]) x = rng.Normal();
-    train_sizes[static_cast<size_t>(i)] = 10 + i;
-  }
-  const auto participants = AllParticipants(n);
-
-  FedGtaOptions exact_options;
-  exact_options.epsilon = 0.4;
-  std::vector<std::vector<float>> exact_out(static_cast<size_t>(n));
-  std::vector<std::vector<int>> exact_sets;
-  FedGtaAggregate(metrics, params, train_sizes, participants, exact_options,
-                  &exact_out, &exact_sets);
-
-  FedGtaOptions lsh_options = exact_options;
-  lsh_options.similarity.mode = SimilarityMode::kLsh;
-  std::vector<std::vector<float>> lsh_out(static_cast<size_t>(n));
-  std::vector<std::vector<int>> lsh_sets;
-  FedGtaAggregate(metrics, params, train_sizes, participants, lsh_options,
-                  &lsh_out, &lsh_sets);
-
-  EXPECT_EQ(exact_sets, lsh_sets);
-  EXPECT_EQ(exact_out, lsh_out);  // bitwise: float vectors compared exactly
 }
 
 // Dedup correctness: the grouped Eq. 7 must produce exactly what a naive
@@ -387,61 +270,49 @@ TEST(SimilarityParityTest, RowRangesReproduceFullCall) {
   const double epsilon = 0.3;
   for (uint64_t seed : {5ull, 311ull, 991ull}) {
     const ShardedFixture f = MakeShardedFixture(n, /*dim=*/8, seed);
-    for (SimilarityMode mode : {SimilarityMode::kExact, SimilarityMode::kLsh}) {
-      SimilarityPlaneOptions plane;
-      plane.mode = mode;
-      SimilarityStats full_stats;
-      const auto full =
-          BuildAggregationSets(f.moments, f.participants, epsilon, plane,
-                               AllRows(f.participants), &full_stats);
-      EXPECT_EQ(full,
-                BuildAggregationSets(f.moments, f.participants, epsilon));
-      for (int shards : {2, 3, 4}) {
-        const fed::Topology topo(n, shards, shards);
-        std::vector<std::vector<std::vector<int>>> by_threads;
-        for (int threads : {1, 4}) {
-          SetGlobalThreadPoolSize(threads);
-          std::vector<std::vector<int>> merged(static_cast<size_t>(n));
-          int64_t pairs_exact = 0;
-          int64_t pairs_pruned = 0;
-          for (int a = 0; a < shards; ++a) {
-            const ParticipantRows rows =
-                ShardRows(f.participants, topo.ClientShard(a));
-            SimilarityStats stats;
-            const auto sets = BuildAggregationSets(
-                f.moments, f.participants, epsilon, plane, rows, &stats);
-            EXPECT_EQ(stats.mode_used, mode);
-            pairs_exact += stats.pairs_exact;
-            pairs_pruned += stats.pairs_pruned;
-            for (int64_t r = 0; r < static_cast<int64_t>(f.participants.size());
-                 ++r) {
-              const int id = f.participants[static_cast<size_t>(r)];
-              if (r >= rows.begin && r < rows.end) {
-                EXPECT_EQ(sets[static_cast<size_t>(id)],
-                          full[static_cast<size_t>(id)])
-                    << "client " << id << " shard " << a
-                    << " shards=" << shards
-                    << " mode=" << SimilarityModeName(mode)
-                    << " seed=" << seed << " threads=" << threads;
-                merged[static_cast<size_t>(id)] =
-                    sets[static_cast<size_t>(id)];
-              } else {
-                EXPECT_TRUE(sets[static_cast<size_t>(id)].empty())
-                    << "client " << id << " outside shard " << a;
-              }
+    const int64_t full_before = CounterValue("fedgta.similarity.pairs_exact");
+    const auto full = BuildAggregationSets(f.moments, f.participants, epsilon,
+                                           AllRows(f.participants));
+    const int64_t full_pairs =
+        CounterValue("fedgta.similarity.pairs_exact") - full_before;
+    EXPECT_EQ(full, BuildAggregationSets(f.moments, f.participants, epsilon));
+    for (int shards : {2, 3, 4}) {
+      const fed::Topology topo(n, shards, shards);
+      std::vector<std::vector<std::vector<int>>> by_threads;
+      for (int threads : {1, 4}) {
+        SetGlobalThreadPoolSize(threads);
+        std::vector<std::vector<int>> merged(static_cast<size_t>(n));
+        const int64_t pairs_before =
+            CounterValue("fedgta.similarity.pairs_exact");
+        for (int a = 0; a < shards; ++a) {
+          const ParticipantRows rows =
+              ShardRows(f.participants, topo.ClientShard(a));
+          const auto sets =
+              BuildAggregationSets(f.moments, f.participants, epsilon, rows);
+          for (int64_t r = 0; r < static_cast<int64_t>(f.participants.size());
+               ++r) {
+            const int id = f.participants[static_cast<size_t>(r)];
+            if (r >= rows.begin && r < rows.end) {
+              EXPECT_EQ(sets[static_cast<size_t>(id)],
+                        full[static_cast<size_t>(id)])
+                  << "client " << id << " shard " << a << " shards=" << shards
+                  << " seed=" << seed << " threads=" << threads;
+              merged[static_cast<size_t>(id)] = sets[static_cast<size_t>(id)];
+            } else {
+              EXPECT_TRUE(sets[static_cast<size_t>(id)].empty())
+                  << "client " << id << " outside shard " << a;
             }
           }
-          // Each ordered pair is judged from its row's range exactly once.
-          EXPECT_EQ(pairs_exact, full_stats.pairs_exact)
-              << "shards=" << shards << " seed=" << seed;
-          EXPECT_EQ(pairs_pruned, full_stats.pairs_pruned)
-              << "shards=" << shards << " seed=" << seed;
-          EXPECT_EQ(merged, full);
-          by_threads.push_back(std::move(merged));
         }
-        SetGlobalThreadPoolSize(1);
-        EXPECT_EQ(by_threads[0], by_threads[1]);
+        // Each ordered pair is judged from its row's range exactly once.
+        EXPECT_EQ(CounterValue("fedgta.similarity.pairs_exact") - pairs_before,
+                  full_pairs)
+            << "shards=" << shards << " seed=" << seed;
+        EXPECT_EQ(merged, full);
+        by_threads.push_back(std::move(merged));
       }
+      SetGlobalThreadPoolSize(1);
+      EXPECT_EQ(by_threads[0], by_threads[1]);
     }
   }
 }
@@ -512,7 +383,7 @@ TEST(ShardPlaneParityTest, ChainedPartialsBitIdenticalToSingleServer) {
     for (int a = 0; a < shards; ++a) {
       const fed::ShardPlane& plane = *planes[static_cast<size_t>(a)];
       const Result<std::vector<std::vector<int>>> sets =
-          plane.BuildSets(f.participants, FrameMoments(f), nullptr);
+          plane.BuildSets(f.participants, FrameMoments(f));
       ASSERT_TRUE(sets.ok()) << sets.status();
       ASSERT_EQ(sets->size(), plane.staged().size());
       for (size_t r = 0; r < plane.staged().size(); ++r) {
@@ -559,13 +430,13 @@ TEST(ShardPlaneFrameTest, MalformedFramesAreInvalidArgument) {
   const fed::ShardPlane& plane = *planes[1];  // shard [10, 20)
   const std::vector<int>& ids = f.participants;
   const std::vector<std::vector<float>> rows = FrameMoments(f);
-  ASSERT_TRUE(plane.BuildSets(ids, rows, nullptr).ok());
+  ASSERT_TRUE(plane.BuildSets(ids, rows).ok());
 
   const auto expect_invalid = [&](const std::vector<int>& bad_ids,
                                   const std::vector<std::vector<float>>& bad,
                                   const char* what) {
     const Result<std::vector<std::vector<int>>> sets =
-        plane.BuildSets(bad_ids, bad, nullptr);
+        plane.BuildSets(bad_ids, bad);
     ASSERT_FALSE(sets.ok()) << what;
     EXPECT_EQ(sets.status().code(), StatusCode::kInvalidArgument) << what;
   };
@@ -623,6 +494,32 @@ TEST(FedGtaAggregatePlaneTest, PairCountersAccumulateInRegistry) {
   (void)BuildAggregationSets(moments, AllParticipants(n), 0.3);
   EXPECT_EQ(CounterValue("fedgta.similarity.pairs_exact") - exact_before,
             static_cast<int64_t>(n) * (n - 1));
+
+  // A fleet-sized round under the options the end-to-end benchmark sets
+  // (mode = kAuto) judges every ordered pair exactly: the mode is unread.
+  const int big = 600;
+  const auto big_moments = ClusteredMoments(big, 12, 16, /*seed=*/64, 0.3f);
+  std::vector<ClientMetrics> metrics(static_cast<size_t>(big));
+  std::vector<std::vector<float>> params(static_cast<size_t>(big));
+  for (int i = 0; i < big; ++i) {
+    metrics[static_cast<size_t>(i)].moments =
+        big_moments[static_cast<size_t>(i)];
+    metrics[static_cast<size_t>(i)].confidence = 1.0;
+    params[static_cast<size_t>(i)] = {static_cast<float>(i)};
+  }
+  const std::vector<int64_t> train_sizes(static_cast<size_t>(big), 1);
+  FedGtaOptions options;
+  options.similarity.mode = SimilarityMode::kAuto;
+  const int64_t big_before = CounterValue("fedgta.similarity.pairs_exact");
+  std::vector<std::vector<float>> out(static_cast<size_t>(big));
+  std::vector<std::vector<int>> sets;
+  FedGtaAggregate(metrics, params, train_sizes, AllParticipants(big), options,
+                  &out, &sets);
+  EXPECT_EQ(CounterValue("fedgta.similarity.pairs_exact") - big_before,
+            static_cast<int64_t>(big) * (big - 1));
+  EXPECT_EQ(sets,
+            BuildAggregationSets(big_moments, AllParticipants(big),
+                                 options.epsilon));
 }
 
 }  // namespace
