@@ -9,11 +9,13 @@
 // plane (DESIGN.md §5j): per-codec bytes per round on FedGTA-shaped
 // train-response payloads (weights + moments), with a hard >= 4x gate on
 // the delta codec, plus a bandwidth-throttled loopback comparison of
-// time-per-round raw vs delta through the real RPC stack.
+// time-per-round uncompressed (--compress=off: no Link) vs delta through
+// the real RPC stack.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,7 +150,7 @@ struct CodecPoint {
   std::string codec;
   size_t download_bytes = 0;  // dense under every codec
   size_t upload_bytes = 0;    // weights + moments, steady-state round
-  double upload_ratio_vs_raw = 0.0;
+  double upload_ratio_vs_raw = 0.0;  // vs uncompressed WriteFloatVec bytes
   double encode_decode_ms = 0.0;
 };
 
@@ -226,7 +228,13 @@ std::vector<CodecPoint> RunCodecSweep() {
         1e3 * timer.Seconds() / static_cast<double>(measured_round + 1);
     points.push_back(p);
   }
-  const double raw_upload = static_cast<double>(points[0].upload_bytes);
+  // The uncompressed upload a Link-less connection ships for the same
+  // tensors: one WriteFloatVec each.
+  serialize::Writer off;
+  off.WriteFloatVec(std::vector<float>(kWeightElems));
+  off.WriteFloatVec(std::vector<float>(kMomentElems));
+  const double raw_upload = static_cast<double>(off.payload().size());
+  std::printf("codec=off    upload=%8zu B\n", off.payload().size());
   for (CodecPoint& p : points) {
     p.upload_ratio_vs_raw = raw_upload / static_cast<double>(p.upload_bytes);
     std::printf(
@@ -235,21 +243,27 @@ std::vector<CodecPoint> RunCodecSweep() {
         p.codec.c_str(), p.download_bytes, p.upload_bytes,
         p.upload_ratio_vs_raw, p.encode_decode_ms);
   }
-  // The ISSUE gate: delta must beat raw by >= 4x on train-response bytes.
+  // Gate: delta must beat uncompressed by >= 4x on train-response bytes.
   FEDGTA_CHECK(points.back().codec == "delta");
   FEDGTA_CHECK(points.back().upload_ratio_vs_raw >= 4.0);
   return points;
+}
+
+// One end of a connection under `codec_name`: no Link for "off", as the
+// server and worker build none.
+std::unique_ptr<net::compress::Link> MakeLink(const std::string& codec_name) {
+  if (codec_name == "off") return nullptr;
+  const net::compress::Codec* codec = net::compress::FindCodec(codec_name);
+  FEDGTA_CHECK(codec != nullptr);
+  return std::make_unique<net::compress::Link>(codec, 0);
 }
 
 // One federated round's traffic through the real RPC stack (echo server
 // below), with the frame layer throttled to `bandwidth_bytes_per_sec` —
 // the regime where compression buys wall-clock, not just bytes.
 void CompressEchoServer(net::Socket sock, const std::string& codec_name) {
-  const net::compress::Codec* codec = net::compress::FindCodec(codec_name);
-  FEDGTA_CHECK(codec != nullptr);
-  net::compress::Link link(codec, 0);
-  net::compress::Link* lp =
-      codec->id() != net::compress::CodecId::kRaw ? &link : nullptr;
+  const std::unique_ptr<net::compress::Link> link = MakeLink(codec_name);
+  net::compress::Link* lp = link.get();
   std::vector<float> moments(kMomentElems, 0.5f);
   while (true) {
     Result<serialize::Reader> reader = net::RecvMessage(sock);
@@ -292,11 +306,8 @@ double RunThrottledRounds(const std::string& codec_name, int rounds,
   FEDGTA_CHECK(dialed.ok());
   net::RpcChannel channel(std::move(*dialed), options);
 
-  const net::compress::Codec* codec = net::compress::FindCodec(codec_name);
-  FEDGTA_CHECK(codec != nullptr);
-  net::compress::Link link(codec, 0);
-  net::compress::Link* lp =
-      codec->id() != net::compress::CodecId::kRaw ? &link : nullptr;
+  const std::unique_ptr<net::compress::Link> link = MakeLink(codec_name);
+  net::compress::Link* lp = link.get();
 
   std::vector<float> model = MakeWeights(0xBE7C);
   net::SetSendThrottleBytesPerSec(bandwidth_bytes_per_sec);
@@ -332,10 +343,10 @@ void RunCompressArm(const char* out_path) {
 
   const std::vector<CodecPoint> sweep = RunCodecSweep();
 
-  const double raw_s = RunThrottledRounds("raw", rounds, bandwidth);
+  const double raw_s = RunThrottledRounds("off", rounds, bandwidth);
   const double delta_s = RunThrottledRounds("delta", rounds, bandwidth);
   std::printf(
-      "throttled @%lld MiB/s: %d rounds raw=%.3fs delta=%.3fs "
+      "throttled @%lld MiB/s: %d rounds off=%.3fs delta=%.3fs "
       "speedup=%.2fx\n",
       static_cast<long long>(bandwidth >> 20), rounds, raw_s, delta_s,
       raw_s / delta_s);

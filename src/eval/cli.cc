@@ -137,13 +137,10 @@ const FlagDef kFlags[] = {
      [](ExperimentCli& c, const std::string& v) {
        c.halt_after_round = ToInt(v);
      }},
-    // Wire compression.
-    {"compress", kRun | kSrv | kWrk,
-     [](ExperimentCli& c, const std::string& v) {
-       c.compress = v;
-       c.compress_given = true;
-     }},
-    {"compress_topk", kRun | kSrv | kWrk,
+    // Wire compression: the server's codec binds every connection.
+    {"compress", kSrv,
+     [](ExperimentCli& c, const std::string& v) { c.compress = v; }},
+    {"compress_topk", kSrv,
      [](ExperimentCli& c, const std::string& v) {
        c.compress_topk = ToInt(v);
        c.compress_topk_given = true;
@@ -242,14 +239,14 @@ std::string AsyncHelpLines() {
 
 std::string CompressHelpLines() {
   return "  --compress=MODE       wire codec for train/eval tensor traffic:\n"
-         "                        off | raw | fp16 | int8 | delta (default "
-         "off).\n"
+         "                        off | fp16 | int8 | delta (default off).\n"
          "                        fp16/int8 quantize per tensor; delta ships\n"
          "                        top-k sparsified updates against the last\n"
-         "                        exchanged model (DESIGN.md §5j). Workers "
-         "that\n"
-         "                        don't advertise the codec fall back to "
-         "raw\n"
+         "                        exchanged model (DESIGN.md §5j). Every "
+         "worker\n"
+         "                        (and every aggregator's workers) uses "
+         "this\n"
+         "                        codec\n"
          "  --compress_topk=N     elements kept per delta-sparsified tensor\n"
          "                        (requires --compress=delta; default: "
          "n/8,\n"
@@ -282,9 +279,8 @@ Status Validate(Role role, ExperimentCli* cli) {
     return Invalid("unknown backend: " + cli->backend +
                    " (have: " + JoinBackends() + ")");
   }
-  // Compression flags apply (and validate) in every role: the server
-  // requests the codec, the worker restricts its advertisement, and
-  // run_experiment keeps flag parity for scripted A/B comparisons.
+  // Only the server role can set the compression flags; elsewhere they
+  // keep their defaults and pass.
   if (cli->compress != "off" &&
       net::compress::FindCodec(cli->compress) == nullptr) {
     std::string names;
@@ -492,9 +488,6 @@ RemoteRunnerOptions ExperimentCli::ToRunnerOptions() const {
   options.rpc.max_attempts = connect_attempts;
   options.idle_timeout_ms = idle_timeout_ms;
   options.max_train_requests = max_train_requests;
-  // The absent flag advertises every codec (the server picks); an explicit
-  // --compress restricts the advertisement (or, with "off", disables it).
-  options.compress = compress_given ? compress : "";
   return options;
 }
 
@@ -584,13 +577,7 @@ std::string HelpText(Role role) {
           "  --fail_seed=N         failure-injection seed, independent of "
           "--seed\n"
           "                        (default 0xFA11)\n" +
-          AsyncHelpLines() +
-          "  --compress=MODE       accepted for flag parity with "
-          "fedgta_server\n"
-          "                        (validated, but the in-process run has "
-          "no\n"
-          "                        wire to compress)\n"
-          "  --compress_topk=N     ditto (requires --compress=delta)\n";
+          AsyncHelpLines();
       break;
     }
     case Role::kServer: {
@@ -662,6 +649,9 @@ std::string HelpText(Role role) {
     case Role::kWorker: {
       text =
           "fedgta_worker — distributed FedGTA worker process\n\n"
+          "Dials the server (or a regional aggregator) and speaks the wire "
+          "codec\n"
+          "that server's --compress assigns at handshake.\n\n"
           "  --host=ADDR           server address (default 127.0.0.1)\n"
           "  --port=N              server port (default 5714)\n"
           "  --deadline_ms=N       handshake receive deadline (default "
@@ -675,16 +665,6 @@ std::string HelpText(Role role) {
           "                        a killed process (fault-injection "
           "testing;\n"
           "                        0 = disabled)\n"
-          "  --compress=MODE       restrict the codecs advertised to the\n"
-          "                        server: off advertises none (forces "
-          "raw),\n"
-          "                        a codec name advertises just that one.\n"
-          "                        Default: advertise everything — the "
-          "server's\n"
-          "                        --compress choice decides\n"
-          "  --compress_topk=N     accepted for flag parity; the server's\n"
-          "                        assigned top-k is binding (requires\n"
-          "                        --compress=delta)\n"
           "  --trace_out=PATH      write this worker's Chrome trace; its "
           "spans\n"
           "                        carry the server's trace ids and clock "

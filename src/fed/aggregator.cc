@@ -145,6 +145,12 @@ Status Session::Handshake() {
   SetTraceProcessName("fedgta_aggregator_" +
                       std::to_string(assign_.agg_index));
 
+  // The codec comes off the wire: refuse a bad one before the dataset is
+  // built or the listener binds, rather than abort in WorkerFleet::Accept.
+  if (Status codec = ValidateCompress(assign_.compress, assign_.compress_topk);
+      !codec.ok()) {
+    return Complain(sock_, std::move(codec));
+  }
   if (Status parsed = SetupFromWireConfig(assign_.config, &setup_);
       !parsed.ok()) {
     return Complain(sock_, std::move(parsed));

@@ -33,8 +33,8 @@ struct AggregatorOptions {
   int idle_timeout_ms = 0;
 };
 
-/// One regional aggregator process (DESIGN.md §5k): dials the root with a
-/// v5 aggregator Hello, receives its contiguous client shard plus worker
+/// One regional aggregator process (DESIGN.md §5k): dials the root with an
+/// aggregator Hello, receives its contiguous client shard plus worker
 /// slice via ShardAssign, accepts its workers through the shared
 /// WorkerFleet handshake, and then serves the root's routed envelopes —
 /// TrainShard dispatch, the shard-local half of the Eq. 6/7 plane

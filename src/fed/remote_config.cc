@@ -38,15 +38,19 @@ Status ValidateRemoteConfig(const RemoteFedConfig& config) {
       return InvalidArgumentError("staleness_decay must be in (0, 1]");
     }
   }
-  if (config.compress != "off" &&
-      net::compress::FindCodec(config.compress) == nullptr) {
-    return InvalidArgumentError("unknown compress codec '" + config.compress +
-                                "'");
+  FEDGTA_RETURN_IF_ERROR(
+      ValidateCompress(config.compress, config.compress_topk));
+  return GetDatasetSpec(config.dataset).status();
+}
+
+Status ValidateCompress(const std::string& compress, int compress_topk) {
+  if (compress != "off" && net::compress::FindCodec(compress) == nullptr) {
+    return InvalidArgumentError("unknown compress codec '" + compress + "'");
   }
-  if (config.compress_topk < 0) {
+  if (compress_topk < 0) {
     return InvalidArgumentError("compress_topk must be >= 0");
   }
-  return GetDatasetSpec(config.dataset).status();
+  return OkStatus();
 }
 
 net::WireFedConfig ToWireConfig(const RemoteFedConfig& config) {

@@ -31,10 +31,9 @@ struct RemoteFedConfig {
   SimulationConfig sim;
 
   /// Wire compression (DESIGN.md §5j): "off" (no compression plane at
-  /// all — legacy bytes), or a codec name from
-  /// net::compress::ListCodecNames() ("raw", "fp16", "int8", "delta")
-  /// requested for every worker connection. Workers that don't advertise
-  /// the codec negotiate down to raw.
+  /// all — uncompressed bytes), or a codec name from
+  /// net::compress::ListCodecNames() ("fp16", "int8", "delta") that every
+  /// worker connection uses; AssignConfig binds the workers to it.
   std::string compress = "off";
   /// Elements per delta-sparsified tensor; 0 = auto (n/8, floored so
   /// small tensors ship whole). Only meaningful
@@ -70,6 +69,11 @@ struct RemoteFedConfig {
 /// codec and top-k, and a registered dataset. Topology checks stay with
 /// each server.
 Status ValidateRemoteConfig(const RemoteFedConfig& config);
+
+/// The wire-codec half of that check, shared with the aggregator, whose
+/// codec arrives from the root in ShardAssign: "off" or a registered codec
+/// name, and a top-k >= 0.
+Status ValidateCompress(const std::string& compress, int compress_topk);
 
 /// Projects the worker-relevant slice of `config` into the AssignConfig
 /// payload. Server-only knobs (FedGTA's Eq. 6-7 aggregation options,

@@ -22,6 +22,12 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     }
   }
 
+  const net::compress::Codec* codec = nullptr;
+  if (options.compress != "off") {
+    codec = net::compress::FindCodec(options.compress);
+    FEDGTA_CHECK(codec != nullptr)
+        << "caller admitted unknown codec " << options.compress;
+  }
   param_count_ = -1;
   init_params_.clear();
   for (int w = 0; w < num_workers; ++w) {
@@ -32,18 +38,6 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     FEDGTA_RETURN_IF_ERROR(
         net::ReceiveHello(channel.socket(), net::NodeRole::kWorker, &hello));
     const int64_t hello_recv_us = internal_obs::TraceNowMicros();
-    // Codec negotiation: the requested codec if this worker advertised it,
-    // raw otherwise. A raw outcome builds no Link at all, so those
-    // connections ship uncompressed bytes.
-    net::compress::CodecId negotiated = net::compress::CodecId::kRaw;
-    if (options.compress != "off") {
-      const net::compress::Codec* requested =
-          net::compress::FindCodec(options.compress);
-      FEDGTA_CHECK(requested != nullptr)
-          << "caller admitted unknown codec " << options.compress;
-      negotiated = net::compress::Negotiate(requested->id(),
-                                            hello.codec_capabilities);
-    }
     net::AssignConfigMsg assign;
     assign.config = options.wire;
     WorkerLink& link = links_[static_cast<size_t>(w)];
@@ -53,12 +47,14 @@ Status WorkerFleet::Accept(net::ServerSocket& server, int num_clients,
     // them with its own send/recv times to shift its trace timebase.
     assign.hello_recv_us = hello_recv_us;
     assign.worker_index = options.worker_index_base + w;
-    assign.codec_id = static_cast<uint32_t>(negotiated);
-    assign.compress_topk = options.compress_topk;
-    if (negotiated != net::compress::CodecId::kRaw) {
-      link.compress = std::make_unique<net::compress::Link>(
-          net::compress::FindCodec(negotiated), options.compress_topk);
+    // The server's codec binds the worker; "off" builds no Link, so those
+    // connections ship uncompressed bytes.
+    if (codec != nullptr) {
+      assign.codec_id = static_cast<uint32_t>(codec->id());
+      link.compress =
+          std::make_unique<net::compress::Link>(codec, options.compress_topk);
     }
+    assign.compress_topk = options.compress_topk;
     assign.assign_send_us = internal_obs::TraceNowMicros();
     net::ConfigAckMsg ack;
     FEDGTA_RETURN_IF_ERROR(channel.Call(assign, &ack));

@@ -27,10 +27,10 @@ struct WorkerLink {
   net::RpcChannel channel;
   /// Hosted client ids, ascending.
   std::vector<int> client_ids;
-  /// Negotiated per-connection compression state (DESIGN.md §5j); null
-  /// when the connection negotiated raw (or compress = "off"), keeping
-  /// that path's bytes exactly the legacy wire format. Touched only by
-  /// the one thread currently driving this worker's channel.
+  /// Per-connection compression state (DESIGN.md §5j); null under
+  /// compress = "off", keeping that path's bytes exactly the uncompressed
+  /// wire format. Touched only by the one thread currently driving this
+  /// worker's channel.
   std::unique_ptr<net::compress::Link> compress;
   /// Shared with the published fleet status (the endpoint may outlive a
   /// rebuilt fleet).
@@ -51,7 +51,8 @@ struct WorkerStatusEntry {
 struct WorkerFleetOptions {
   /// Experiment identity shipped in every AssignConfig.
   net::WireFedConfig wire;
-  /// Requested wire codec ("off" = no negotiation) and delta top-k.
+  /// Wire codec for every worker connection ("off" = uncompressed; any
+  /// other value must name a registered codec) and delta top-k.
   std::string compress = "off";
   int compress_topk = 0;
   net::RpcOptions rpc;
@@ -65,7 +66,7 @@ struct WorkerFleetOptions {
 
 /// The worker-facing half of a federation server: accepts a fleet of
 /// worker connections, runs the Hello/AssignConfig/ConfigAck handshake
-/// (version check, codec negotiation, clock-sync echo), and drives
+/// (version check, codec assignment, clock-sync echo), and drives
 /// train/eval dispatch over them. Both the flat RemoteCoordinator and the
 /// regional aggregator (DESIGN.md §5k) delegate here, so the worker
 /// protocol has exactly one server-side implementation — a worker cannot

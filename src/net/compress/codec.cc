@@ -53,35 +53,10 @@ float MaxAbs(std::span<const float> values) {
 
 // ---------------------------------------------------------------------------
 
-class RawCodec final : public Codec {
- public:
-  CodecId id() const override { return CodecId::kRaw; }
-  const char* name() const override { return "raw"; }
-  bool lossless() const override { return true; }
-
-  void Encode(std::span<const float> values, const TensorSpec& spec,
-              serialize::Writer* w) const override {
-    // Identity: exactly the WriteFloatVec bytes, so a raw-negotiated
-    // connection ships what an uncompressed one does.
-    w->WriteFloatVec(values);
-    if (spec.reconstruction != nullptr) {
-      spec.reconstruction->assign(values.begin(), values.end());
-    }
-  }
-
-  Status Decode(serialize::Reader* r, const TensorSpec&,
-                std::vector<float>* out) const override {
-    return r->ReadFloatVec(out);
-  }
-};
-
-// ---------------------------------------------------------------------------
-
 class Fp16Codec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kFp16; }
   const char* name() const override { return "fp16"; }
-  bool lossless() const override { return false; }
 
   // Blob: varint n | fp32 scale | n half-floats of value/scale.
   // scale = max|x|, so every normalized value is in [-1, 1] and the
@@ -141,7 +116,6 @@ class Int8Codec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kInt8; }
   const char* name() const override { return "int8"; }
-  bool lossless() const override { return false; }
 
   // Blob: varint n | fp32 scale | n int8 of round(value/scale).
   // scale = max|x| / 127, so quantized values fit [-127, 127] and the
@@ -203,7 +177,6 @@ class DeltaCodec final : public Codec {
  public:
   CodecId id() const override { return CodecId::kDelta; }
   const char* name() const override { return "delta"; }
-  bool lossless() const override { return false; }
 
   // Blob, dense form (no usable base — stream start or resync):
   //   u8 flag=0 | varint n | n fp32 values
@@ -383,26 +356,13 @@ class DeltaCodec final : public Codec {
   }
 };
 
-const RawCodec kRawCodec;
 const Fp16Codec kFp16Codec;
 const Int8Codec kInt8Codec;
 const DeltaCodec kDeltaCodec;
 
-const Codec* const kCodecs[] = {&kRawCodec, &kFp16Codec, &kInt8Codec,
-                                &kDeltaCodec};
+const Codec* const kCodecs[] = {&kFp16Codec, &kInt8Codec, &kDeltaCodec};
 
 }  // namespace
-
-uint32_t AllCapabilities() {
-  uint32_t mask = 0;
-  for (const Codec* c : kCodecs) mask |= CapabilityBit(c->id());
-  return mask;
-}
-
-CodecId Negotiate(CodecId requested, uint32_t peer_capabilities) {
-  if ((peer_capabilities & CapabilityBit(requested)) != 0) return requested;
-  return CodecId::kRaw;
-}
 
 const Codec* FindCodec(std::string_view name) {
   for (const Codec* c : kCodecs) {

@@ -17,13 +17,11 @@ namespace compress {
 ///
 /// A codec turns one float tensor into a compact blob inside a
 /// serialize::Writer stream and back. Codecs are identified by a stable
-/// wire id; the set a peer supports is advertised as a capability bitmask
-/// in the Hello message and the server picks one per connection
-/// (Negotiate). The `raw` codec is the identity — a connection that
-/// negotiated raw never constructs a compression context at all, so its
-/// tensor bytes are exactly WriteFloatVec's.
+/// wire id; the server's --compress choice is the one codec decision, and
+/// AssignConfig carries its id to every worker. An uncompressed connection
+/// (--compress=off, id kNone) constructs no compression context at all, so
+/// its tensor bytes are exactly WriteFloatVec's.
 ///
-///   raw   — identity (lossless).
 ///   fp16  — per-tensor-scale IEEE half quantization. Error bound (tested):
 ///           |x̂ - x| <= max|x| * 2^-10 per element.
 ///   int8  — per-tensor-scale 8-bit quantization, scale = max|x| / 127.
@@ -42,21 +40,13 @@ namespace compress {
 /// codec ever sees it; these checks catch the rest).
 
 enum class CodecId : uint8_t {
-  kRaw = 0,
+  /// AssignConfig's "no codec": the connection builds no Link. No
+  /// registered codec carries this id.
+  kNone = 0,
   kFp16 = 1,
   kInt8 = 2,
   kDelta = 3,
 };
-
-/// Hello capability bit for one codec id.
-constexpr uint32_t CapabilityBit(CodecId id) {
-  return 1u << static_cast<uint32_t>(id);
-}
-/// Every codec this build implements (a worker's default advertisement).
-uint32_t AllCapabilities();
-/// Picks the connection codec: `requested` if the peer advertised it,
-/// otherwise raw (an empty mask always lands here).
-CodecId Negotiate(CodecId requested, uint32_t peer_capabilities);
 
 /// Per-tensor parameters threaded into Encode/Decode. Only the delta codec
 /// reads them; the quantizers are stateless.
@@ -99,7 +89,6 @@ class Codec {
   virtual ~Codec() = default;
   virtual CodecId id() const = 0;
   virtual const char* name() const = 0;
-  virtual bool lossless() const = 0;
   /// Appends the encoded tensor to `w`.
   virtual void Encode(std::span<const float> values, const TensorSpec& spec,
                       serialize::Writer* w) const = 0;
@@ -109,7 +98,7 @@ class Codec {
                         std::vector<float>* out) const = 0;
 };
 
-/// Registry lookups. Names: raw fp16 int8 delta. Unknown name/id returns
+/// Registry lookups. Names: fp16 int8 delta. Unknown name/id returns
 /// nullptr — the CLI and the handshake both validate through these.
 const Codec* FindCodec(std::string_view name);
 const Codec* FindCodec(CodecId id);

@@ -15,10 +15,10 @@ namespace compress {
 
 /// Per-connection compression state (DESIGN.md §5j).
 ///
-/// One Link lives on each side of a negotiated connection: the coordinator
+/// One Link lives on each side of a compressed connection: the coordinator
 /// holds one per worker channel, the worker holds one for its socket. The
-/// Link maps the three tensor streams of the protocol onto the negotiated
-/// codec and owns the delta-base state those streams need:
+/// Link maps the three tensor streams of the protocol onto the codec the
+/// server assigned and owns the delta-base state those streams need:
 ///
 ///   downloads (TrainRequest/EvalRequest weights, server → worker)
 ///     fp16/int8: quantized, stateless.
@@ -46,12 +46,6 @@ class Link {
   /// `codec` must be non-null (from FindCodec). `top_k` = elements per
   /// delta tensor, 0 = auto (n/8 floored at kDeltaAutoFloor).
   Link(const Codec* codec, int top_k);
-
-  /// True when tensor streams are rewritten (codec != raw).
-  bool active() const { return codec_->id() != CodecId::kRaw; }
-  CodecId codec_id() const { return codec_->id(); }
-  const char* codec_name() const { return codec_->name(); }
-  int top_k() const { return top_k_; }
 
   void EncodeDownload(int32_t client_id, std::span<const float> weights,
                       serialize::Writer* w);

@@ -107,7 +107,6 @@ void AddRecvSavedBytes(int64_t saved) {
 void HelloMsg::Encode(serialize::Writer* w, compress::Link* /*link*/) const {
   w->WriteU32(protocol_version);
   w->WriteI64(t_send_us);
-  w->WriteU32(codec_capabilities);
   w->WriteU32(node_role);
 }
 Status HelloMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
@@ -119,7 +118,6 @@ Status HelloMsg::Decode(serialize::Reader* r, compress::Link* /*link*/) {
     return OkStatus();
   }
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&t_send_us));
-  FEDGTA_RETURN_IF_ERROR(r->ReadU32(&codec_capabilities));
   return r->ReadU32(&node_role);
 }
 
@@ -237,7 +235,7 @@ void TrainRequestMsg::Encode(serialize::Writer* w,
                              compress::Link* link) const {
   w->WriteI32(round);
   w->WriteI32(client_id);
-  if (link != nullptr && link->active()) {
+  if (link != nullptr) {
     link->EncodeDownload(client_id, weights, w);
   } else {
     w->WriteFloatVec(weights);
@@ -246,7 +244,7 @@ void TrainRequestMsg::Encode(serialize::Writer* w,
 Status TrainRequestMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&round));
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&client_id));
-  if (link != nullptr && link->active()) {
+  if (link != nullptr) {
     return link->DecodeDownload(client_id, r, &weights);
   }
   return r->ReadFloatVec(&weights);
@@ -259,14 +257,13 @@ void TrainResponseMsg::Encode(serialize::Writer* w,
   w->WriteU32(fate);
   w->WriteDouble(loss);
   w->WriteI64(num_samples);
-  const bool compressed = link != nullptr && link->active();
-  if (compressed) {
+  if (link != nullptr) {
     link->EncodeUploadWeights(client_id, weights, w);
   } else {
     w->WriteFloatVec(weights);
   }
   w->WriteDouble(confidence);
-  if (compressed) {
+  if (link != nullptr) {
     link->EncodeMoments(client_id, moments, w);
   } else {
     w->WriteFloatVec(moments);
@@ -280,14 +277,13 @@ Status TrainResponseMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadU32(&fate));
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&loss));
   FEDGTA_RETURN_IF_ERROR(r->ReadI64(&num_samples));
-  const bool compressed = link != nullptr && link->active();
-  if (compressed) {
+  if (link != nullptr) {
     FEDGTA_RETURN_IF_ERROR(link->DecodeUploadWeights(client_id, r, &weights));
   } else {
     FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(&weights));
   }
   FEDGTA_RETURN_IF_ERROR(r->ReadDouble(&confidence));
-  if (compressed) {
+  if (link != nullptr) {
     FEDGTA_RETURN_IF_ERROR(link->DecodeMoments(client_id, r, &moments));
   } else {
     FEDGTA_RETURN_IF_ERROR(r->ReadFloatVec(&moments));
@@ -298,7 +294,7 @@ Status TrainResponseMsg::Decode(serialize::Reader* r, compress::Link* link) {
 
 void EvalRequestMsg::Encode(serialize::Writer* w, compress::Link* link) const {
   w->WriteI32(client_id);
-  if (link != nullptr && link->active()) {
+  if (link != nullptr) {
     link->EncodeDownload(client_id, weights, w);
   } else {
     w->WriteFloatVec(weights);
@@ -306,7 +302,7 @@ void EvalRequestMsg::Encode(serialize::Writer* w, compress::Link* link) const {
 }
 Status EvalRequestMsg::Decode(serialize::Reader* r, compress::Link* link) {
   FEDGTA_RETURN_IF_ERROR(r->ReadI32(&client_id));
-  if (link != nullptr && link->active()) {
+  if (link != nullptr) {
     return link->DecodeDownload(client_id, r, &weights);
   }
   return r->ReadFloatVec(&weights);

@@ -54,7 +54,8 @@ namespace net {
 /// v4: wire compression (DESIGN.md §5j). Hello advertises the worker's
 /// codec capability bits; AssignConfig answers with the negotiated codec
 /// id and top-k so both ends build matching compress::Links, and the
-/// tensor fields of Train/Eval messages are codec-encoded on active links.
+/// tensor fields of Train/Eval messages are codec-encoded on compressed
+/// links.
 ///
 /// v5: hierarchical aggregation (DESIGN.md §5k). Hello gains a `node_role`
 /// field so the root can tell aggregators from mis-wired workers, and a
@@ -67,11 +68,15 @@ namespace net {
 /// worker ↔ (root|aggregator) protocol is unchanged — a worker cannot
 /// tell whether its server is the root or a regional aggregator.
 ///
+/// v6: the server's --compress is the only codec decision. Hello loses
+/// the codec capability word (version, clock stamp, role); AssignConfig's
+/// codec id binds the worker, which refuses an id it does not know.
+///
 /// Every binary ships from one tree, so a server speaks exactly
 /// kProtocolVersion: Hello and AssignConfig have one fixed layout, and a
 /// peer announcing any other version is refused at Hello (ReceiveHello).
 
-inline constexpr uint32_t kProtocolVersion = 5;
+inline constexpr uint32_t kProtocolVersion = 6;
 
 enum class MsgType : uint32_t {
   kHello = 1,
@@ -100,8 +105,6 @@ struct HelloMsg {
   /// receiver refuses the peer (see ReceiveHello).
   uint32_t protocol_version = kProtocolVersion;
   int64_t t_send_us = 0;
-  /// compress::CapabilityBit mask of codecs this worker can decode.
-  uint32_t codec_capabilities = 0;
   /// What kind of process is dialing in (a NodeRole value).
   uint32_t node_role = 0;
 
@@ -188,9 +191,8 @@ struct AssignConfigMsg {
   /// This worker's 0-based index in the fleet (stable process identity for
   /// trace pids and the worker.<id>.* metrics namespace).
   int32_t worker_index = 0;
-  /// The codec the server negotiated for this connection (a
-  /// compress::CodecId the worker advertised, or raw) and the delta top-k
-  /// knob.
+  /// The server's codec for this connection (a compress::CodecId;
+  /// kNone = uncompressed) and the delta top-k knob.
   uint32_t codec_id = 0;
   int32_t compress_topk = 0;
 
@@ -347,9 +349,8 @@ void AddRecvSavedBytes(int64_t saved);
 
 /// Ships one typed message as one frame, stamping the calling thread's
 /// TraceContext into the envelope (all zeros when no context is active).
-/// With an active compression Link the tensor fields are codec-encoded
-/// and the frame is marked compressed; a null (or raw) link produces the
-/// legacy bytes.
+/// With a compression Link the tensor fields are codec-encoded; a null
+/// link produces the uncompressed bytes.
 template <typename M>
 Status SendMessage(Socket& sock, const M& msg,
                    compress::Link* link = nullptr) {
@@ -360,12 +361,9 @@ Status SendMessage(Socket& sock, const M& msg,
   writer.WriteU64(ctx.span_id);
   writer.WriteI32(ctx.round);
   msg.Encode(&writer, link);
-  const bool compressed = link != nullptr && link->active();
   const int64_t saved = link != nullptr ? link->TakeSavedBytes() : 0;
   int64_t wire = 0;
-  FEDGTA_RETURN_IF_ERROR(SendFrame(
-      sock, writer, compressed ? FrameKind::kCompressed : FrameKind::kRaw,
-      saved, &wire));
+  FEDGTA_RETURN_IF_ERROR(SendFrame(sock, writer, saved, &wire));
   AddSentMessageBytes(M::kType, wire);
   return OkStatus();
 }

@@ -2,7 +2,7 @@
 // fp16/int8 quantization against their documented error bounds on
 // adversarial tensors, delta exact-reconstruction and desync detection,
 // corruption fuzzing (malformed blobs are error Statuses, never crashes),
-// negotiation, and the per-connection Link's stream lifecycle.
+// the codec registry, and the per-connection Link's stream lifecycle.
 
 #include <cmath>
 #include <cstdint>
@@ -155,7 +155,6 @@ TEST(HalfFloatTest, ConvertsExactAndSpecialValues) {
 TEST(QuantizerTest, Fp16ErrorWithinDocumentedBound) {
   const Codec* fp16 = FindCodec("fp16");
   ASSERT_NE(fp16, nullptr);
-  EXPECT_FALSE(fp16->lossless());
   for (const std::vector<float>& tensor : AdversarialTensors()) {
     std::vector<float> out;
     ASSERT_TRUE(RoundTrip(*fp16, tensor, &out).ok());
@@ -171,7 +170,6 @@ TEST(QuantizerTest, Fp16ErrorWithinDocumentedBound) {
 TEST(QuantizerTest, Int8ErrorWithinDocumentedBound) {
   const Codec* int8 = FindCodec("int8");
   ASSERT_NE(int8, nullptr);
-  EXPECT_FALSE(int8->lossless());
   for (const std::vector<float>& tensor : AdversarialTensors()) {
     std::vector<float> out;
     ASSERT_TRUE(RoundTrip(*int8, tensor, &out).ok());
@@ -202,7 +200,7 @@ TEST(QuantizerTest, ReconstructionOutputMatchesDecoderExactly) {
   // The encode-side `reconstruction` out-param must be bit-identical to
   // what the decoder produces — the delta Link's base bookkeeping depends
   // on it.
-  for (const char* name : {"raw", "fp16", "int8", "delta"}) {
+  for (const char* name : {"fp16", "int8", "delta"}) {
     const Codec* codec = FindCodec(name);
     ASSERT_NE(codec, nullptr);
     const std::vector<float> tensor = {3.14159f, -2.5f, 0.0f, 1e-6f, 88.0f};
@@ -221,7 +219,6 @@ TEST(QuantizerTest, ReconstructionOutputMatchesDecoderExactly) {
 TEST(DeltaTest, NoBaseFallsBackToDenseAndIsBitExact) {
   const Codec* delta = FindCodec("delta");
   ASSERT_NE(delta, nullptr);
-  EXPECT_FALSE(delta->lossless());  // lossy only when sparsifying
   for (const std::vector<float>& tensor : AdversarialTensors()) {
     std::vector<float> out;
     ASSERT_TRUE(RoundTrip(*delta, tensor, &out).ok());
@@ -409,7 +406,7 @@ TEST(CorruptionTest, FlippedBytesNeverCrashOnlyErrorStatuses) {
   // Either the serialize layer's CRC rejects the buffer or the codec's own
   // bounds checks do — a flip must never crash or return garbage lengths.
   const std::vector<float> tensor = {1.5f, -2.25f, 0.0f, 8.0f, -1e-3f};
-  for (const char* name : {"raw", "fp16", "int8", "delta"}) {
+  for (const char* name : {"fp16", "int8", "delta"}) {
     const Codec* codec = FindCodec(name);
     serialize::Writer w;
     codec->Encode(tensor, TensorSpec{}, &w);
@@ -497,24 +494,11 @@ TEST(CorruptionTest, StructurallyMalformedBlobsAreErrors) {
   }
 }
 
-TEST(NegotiateTest, PicksRequestedWhenAdvertisedElseRaw) {
-  EXPECT_EQ(Negotiate(CodecId::kDelta, AllCapabilities()), CodecId::kDelta);
-  EXPECT_EQ(Negotiate(CodecId::kFp16, AllCapabilities()), CodecId::kFp16);
-  // v3 peer: empty mask.
-  EXPECT_EQ(Negotiate(CodecId::kDelta, 0), CodecId::kRaw);
-  // Peer advertising only raw+int8 cannot serve a delta request.
-  const uint32_t mask =
-      CapabilityBit(CodecId::kRaw) | CapabilityBit(CodecId::kInt8);
-  EXPECT_EQ(Negotiate(CodecId::kDelta, mask), CodecId::kRaw);
-  EXPECT_EQ(Negotiate(CodecId::kInt8, mask), CodecId::kInt8);
-  EXPECT_EQ(Negotiate(CodecId::kRaw, 0), CodecId::kRaw);
-}
-
 TEST(RegistryTest, LooksUpEveryCodecByNameAndId) {
   const std::vector<std::string> names = ListCodecNames();
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], "raw");
-  EXPECT_EQ(names[3], "delta");
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names[0], "fp16");
+  EXPECT_EQ(names[2], "delta");
   for (const std::string& name : names) {
     const Codec* codec = FindCodec(name);
     ASSERT_NE(codec, nullptr) << name;
@@ -523,7 +507,10 @@ TEST(RegistryTest, LooksUpEveryCodecByNameAndId) {
   }
   EXPECT_EQ(FindCodec("gzip"), nullptr);
   EXPECT_EQ(FindCodec(static_cast<CodecId>(250)), nullptr);
-  EXPECT_TRUE(FindCodec("raw")->lossless());
+  // Uncompressed has one spelling, "off", and builds no Link: neither the
+  // old "raw" alias nor the "no codec" id resolves to a codec.
+  EXPECT_EQ(FindCodec("raw"), nullptr);
+  EXPECT_EQ(FindCodec(CodecId::kNone), nullptr);
 }
 
 TEST(LinkTest, TwoRoundExchangeKeepsBasesInLockstep) {
@@ -614,15 +601,6 @@ TEST(LinkTest, DesyncedMomentsBaseSurfacesAsError) {
   ASSERT_TRUE(r4.ok());
   EXPECT_TRUE(server.DecodeMoments(client, &*r4, &out).ok());
   EXPECT_EQ(out, moments);
-}
-
-TEST(LinkTest, RawLinkIsInactive) {
-  Link raw(FindCodec("raw"), 0);
-  EXPECT_FALSE(raw.active());
-  Link delta(FindCodec("delta"), 16);
-  EXPECT_TRUE(delta.active());
-  EXPECT_EQ(delta.top_k(), 16);
-  EXPECT_STREQ(delta.codec_name(), "delta");
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Black-box flag validation of the run_experiment CLI: every rejected
+// Flag validation: the run_experiment CLI black-box (every rejected
 // configuration must exit non-zero with a message naming the offending
-// flag, before paying for dataset generation.
+// flag, before paying for dataset generation), and the server and worker
+// roles through the in-process parser.
 
 #include <sys/wait.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,29 +137,10 @@ TEST(FlagsTest, AsyncWithRoundAlignedStrategyIsRejected) {
                  "--async requires an async-capable strategy; 'scaffold'");
 }
 
-TEST(FlagsTest, HelpListsCompressFlags) {
-  const CliResult result = RunCli("--help");
-  EXPECT_EQ(result.exit_code, 0);
-  EXPECT_NE(result.output.find("--compress"), std::string::npos);
-  EXPECT_NE(result.output.find("--compress_topk"), std::string::npos);
-}
-
-TEST(FlagsTest, UnknownCompressCodecIsRejected) {
-  ExpectRejected("--compress=gzip", "--compress must be off or one of");
-}
-
-TEST(FlagsTest, CompressTopkWithoutDeltaIsRejected) {
-  ExpectRejected("--compress_topk=4",
-                 "--compress_topk requires --compress=delta");
-  ExpectRejected("--compress=int8 --compress_topk=4",
-                 "--compress_topk requires --compress=delta");
-}
-
-TEST(FlagsTest, CompressTopkOutOfRangeIsRejected) {
-  ExpectRejected("--compress=delta --compress_topk=0",
-                 "--compress_topk must be >= 1");
-  ExpectRejected("--compress=delta --compress_topk=-3",
-                 "--compress_topk must be >= 1");
+TEST(FlagsTest, CompressFlagsAreUnknownToRunExperiment) {
+  // The in-process run has no wire; only fedgta_server takes a codec.
+  ExpectRejected("--compress=off", "unknown flag: --compress=off");
+  ExpectRejected("--compress_topk=4", "unknown flag: --compress_topk=4");
 }
 
 // The server and worker roles share the same flag table and validation;
@@ -171,6 +154,43 @@ fedgta::Result<fedgta::cli::ExperimentCli> Parse(
                                        argv.data());
 }
 
+// Expects the server role to refuse `args` with a message containing
+// `needle`.
+void ExpectServerRejected(std::vector<std::string> args,
+                          const std::string& needle) {
+  const fedgta::Result<fedgta::cli::ExperimentCli> cli =
+      Parse(fedgta::cli::Role::kServer, std::move(args));
+  ASSERT_FALSE(cli.ok()) << needle;
+  EXPECT_NE(cli.status().message().find(needle), std::string::npos)
+      << cli.status();
+}
+
+// The compress cases run against the server role, the only one that owns
+// the codec decision.
+TEST(FlagsTest, HelpListsCompressFlags) {
+  const std::string help = fedgta::cli::HelpText(fedgta::cli::Role::kServer);
+  EXPECT_NE(help.find("--compress"), std::string::npos);
+  EXPECT_NE(help.find("--compress_topk"), std::string::npos);
+}
+
+TEST(FlagsTest, UnknownCompressCodecIsRejected) {
+  ExpectServerRejected({"--compress=gzip"}, "--compress must be off or one of");
+}
+
+TEST(FlagsTest, CompressTopkWithoutDeltaIsRejected) {
+  ExpectServerRejected({"--compress_topk=4"},
+                       "--compress_topk requires --compress=delta");
+  ExpectServerRejected({"--compress=int8", "--compress_topk=4"},
+                       "--compress_topk requires --compress=delta");
+}
+
+TEST(FlagsTest, CompressTopkOutOfRangeIsRejected) {
+  ExpectServerRejected({"--compress=delta", "--compress_topk=0"},
+                       "--compress_topk must be >= 1");
+  ExpectServerRejected({"--compress=delta", "--compress_topk=-3"},
+                       "--compress_topk must be >= 1");
+}
+
 TEST(RoleFlagsTest, ServerAcceptsAndPlumbsCompressFlags) {
   fedgta::Result<fedgta::cli::ExperimentCli> cli =
       Parse(fedgta::cli::Role::kServer,
@@ -182,34 +202,24 @@ TEST(RoleFlagsTest, ServerAcceptsAndPlumbsCompressFlags) {
 }
 
 TEST(RoleFlagsTest, ServerRejectsBadCompressValues) {
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kServer, {"--compress=gzip"}).ok());
-  EXPECT_FALSE(
-      Parse(fedgta::cli::Role::kServer, {"--compress_topk=4"}).ok());
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kServer,
-                     {"--compress=delta", "--compress_topk=0"})
-                   .ok());
+  // "raw" was an alias of off; off is the one spelling of uncompressed.
+  // (Other bad values: the FlagsTest compress cases above.)
+  ExpectServerRejected({"--compress=raw"},
+                       "--compress must be off or one of: fp16 int8 delta "
+                       "(got: raw)");
 }
 
-TEST(RoleFlagsTest, WorkerCompressFlagRestrictsAdvertisement) {
-  // No flag: advertise everything (empty sentinel).
-  fedgta::Result<fedgta::cli::ExperimentCli> dflt =
-      Parse(fedgta::cli::Role::kWorker, {});
-  ASSERT_TRUE(dflt.ok()) << dflt.status();
-  EXPECT_EQ(dflt->ToRunnerOptions().compress, "");
-  // Explicit codec: advertise just that one.
-  fedgta::Result<fedgta::cli::ExperimentCli> fp16 =
-      Parse(fedgta::cli::Role::kWorker, {"--compress=fp16"});
-  ASSERT_TRUE(fp16.ok()) << fp16.status();
-  EXPECT_EQ(fp16->ToRunnerOptions().compress, "fp16");
-  // Explicit off: advertise none.
-  fedgta::Result<fedgta::cli::ExperimentCli> off =
-      Parse(fedgta::cli::Role::kWorker, {"--compress=off"});
-  ASSERT_TRUE(off.ok()) << off.status();
-  EXPECT_EQ(off->ToRunnerOptions().compress, "off");
-  // Bad values are rejected in the worker role too.
-  EXPECT_FALSE(Parse(fedgta::cli::Role::kWorker, {"--compress=lzma"}).ok());
-  EXPECT_FALSE(
-      Parse(fedgta::cli::Role::kWorker, {"--compress_topk=2"}).ok());
+TEST(RoleFlagsTest, WorkerHasNoCompressFlags) {
+  // The worker speaks whatever codec the server assigns at handshake.
+  for (const char* flag : {"--compress=delta", "--compress_topk=2"}) {
+    const fedgta::Result<fedgta::cli::ExperimentCli> cli =
+        Parse(fedgta::cli::Role::kWorker, {flag});
+    ASSERT_FALSE(cli.ok()) << flag;
+    EXPECT_NE(cli.status().message().find(std::string("unknown flag: ") +
+                                          flag),
+              std::string::npos)
+        << cli.status();
+  }
 }
 
 }  // namespace

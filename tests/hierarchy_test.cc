@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fed/aggregator.h"
 #include "fed/hierarchy.h"
 #include "fed/remote_config.h"
 #include "fed/role.h"
@@ -432,6 +433,54 @@ TEST(HierarchyTest, TrainShardDoneWithMisalignedMomentsDropsTheShard) {
       static_cast<uint32_t>(net::EnvelopeKind::kInitModel),
       static_cast<uint32_t>(net::EnvelopeKind::kTrainShard)};
   EXPECT_EQ(kinds_seen, expected);
+}
+
+TEST(HierarchyTest, UnknownShardAssignCodecIsRefusedBeforeBinding) {
+  // ShardAssign's codec comes off the wire. A scripted root names a codec
+  // no build has: the aggregator must refuse it with InvalidArgument and
+  // an ErrorMsg before its worker listener binds — no port file, and no
+  // abort once a worker connects.
+  Result<net::ServerSocket> listener = net::ServerSocket::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  const std::string port_file = testing::TempDir() + "/fedgta_bad_codec_" +
+                                std::to_string(getpid()) + ".port";
+  std::remove(port_file.c_str());
+  Status root_saw = OkStatus();
+  std::thread fake_root([&] {
+    Result<net::Socket> sock = listener->Accept(5000);
+    ASSERT_TRUE(sock.ok()) << sock.status();
+    ASSERT_TRUE(sock->SetRecvTimeout(30000).ok());
+    net::HelloMsg hello;
+    ASSERT_TRUE(
+        net::ReceiveHello(*sock, net::NodeRole::kAggregator, &hello).ok());
+    RemoteFedConfig config = BaseConfig();
+    fed::ShardAssignBody assign;
+    assign.config = ToWireConfig(config);
+    assign.shard_begin = 0;
+    assign.shard_end = config.split.num_clients;
+    assign.num_workers = 1;
+    assign.compress = "bogus";
+    assign.accept_timeout_ms = 2000;
+    ASSERT_TRUE(net::SendMessage(*sock, fed::MakeEnvelope(
+                                            net::EnvelopeKind::kShardAssign,
+                                            0, assign))
+                    .ok());
+    net::RoutedMsg ready;
+    root_saw = net::ExpectMessage(*sock, &ready);
+  });
+  fed::AggregatorOptions options;
+  options.port = listener->port();
+  options.port_file = port_file;
+  options.rpc.deadline_ms = 5000;
+  const Status ran = fed::RegionalAggregator(options).Run();
+  fake_root.join();
+  EXPECT_EQ(ran.code(), StatusCode::kInvalidArgument) << ran;
+  EXPECT_EQ(root_saw.code(), StatusCode::kFailedPrecondition) << root_saw;
+  EXPECT_NE(root_saw.message().find("unknown compress codec 'bogus'"),
+            std::string::npos)
+      << root_saw;
+  EXPECT_FALSE(std::ifstream(port_file).good()) << "port file was published";
+  std::remove(port_file.c_str());
 }
 
 TEST(HierarchyTest, NonShardableStrategyIsRejectedBeforeAccepting) {

@@ -30,8 +30,7 @@ namespace fedgta {
 namespace {
 
 pid_t SpawnWorker(int port, int max_train_requests = 0,
-                  const std::string& trace_out = "",
-                  const std::string& compress = "") {
+                  const std::string& trace_out = "") {
   const pid_t pid = fork();
   if (pid == 0) {
     std::vector<std::string> args = {
@@ -43,9 +42,6 @@ pid_t SpawnWorker(int port, int max_train_requests = 0,
         "--num_threads=2",
         "--max_train_requests=" + std::to_string(max_train_requests)};
     if (!trace_out.empty()) args.push_back("--trace_out=" + trace_out);
-    // Absent: the worker advertises every codec and the server's request
-    // decides. "off" (or a codec name) restricts the advertisement.
-    if (!compress.empty()) args.push_back("--compress=" + compress);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) argv.push_back(arg.data());
@@ -61,15 +57,13 @@ pid_t SpawnWorker(int port, int max_train_requests = 0,
 /// coordinator's dispatch threads start inside Run()).
 Result<SimulationResult> RunRemote(const RemoteFedConfig& config,
                                    int max_train_requests = 0,
-                                   std::vector<int>* exit_codes = nullptr,
-                                   const std::string& worker_compress = "") {
+                                   std::vector<int>* exit_codes = nullptr) {
   RemoteCoordinator coordinator(config);
   FEDGTA_RETURN_IF_ERROR(coordinator.Listen(0));
   std::vector<pid_t> pids;
   pids.reserve(static_cast<size_t>(config.num_workers));
   for (int w = 0; w < config.num_workers; ++w) {
-    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests,
-                               /*trace_out=*/"", worker_compress));
+    pids.push_back(SpawnWorker(coordinator.port(), max_train_requests));
   }
   Result<SimulationResult> result = coordinator.Run();
   for (pid_t pid : pids) {
@@ -492,23 +486,6 @@ TEST(LoopbackTest, DeltaCompressedRunSavesBytesAndStaysAccurate) {
   EXPECT_NE(status.find("net (compress=delta):"), std::string::npos)
       << status;
   EXPECT_NE(status.find("compression_ratio:"), std::string::npos) << status;
-}
-
-TEST(LoopbackTest, CompressionNegotiatesToRawAgainstRestrictedWorkers) {
-  // The server asks for delta but every worker advertises nothing
-  // (--compress=off) — the same degradation path a v3 peer takes. The
-  // negotiated-raw run must stay bit-identical to the in-process oracle:
-  // no Link is constructed, so the bytes are the legacy wire format.
-  RemoteFedConfig config = BaseConfig();
-  config.num_workers = 2;
-  config.sim.rounds = 2;
-  config.compress = "delta";
-  std::vector<int> exit_codes;
-  Result<SimulationResult> remote =
-      RunRemote(config, /*max_train_requests=*/0, &exit_codes, "off");
-  ASSERT_TRUE(remote.ok()) << remote.status();
-  for (int code : exit_codes) EXPECT_EQ(code, 0);
-  ExpectBitIdentical(*remote, RunInProcess(config));
 }
 
 TEST(LoopbackTest, KilledWorkerDegradesToDroppedClients) {

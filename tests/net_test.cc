@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fed/remote_client_runner.h"
 #include "fed/worker_fleet.h"
 #include "net/compress/codec.h"
 #include "net/frame.h"
@@ -504,42 +505,6 @@ TEST(FrameTest, WireHeaderIsExactTwelveByteLittleEndianLayout) {
   EXPECT_EQ(std::string(raw.begin() + kFrameHeaderBytes, raw.end()), encoded);
 }
 
-TEST(FrameTest, CompressedFrameKindRoundTripsWithDistinctMagic) {
-  Loop loop = MakeLoop();
-  serialize::Writer writer;
-  writer.WriteString("compressed-kind payload");
-  std::thread sender([&] {
-    ASSERT_TRUE(SendFrame(loop.peer, writer, FrameKind::kCompressed).ok());
-  });
-  FrameKind kind = FrameKind::kRaw;
-  Result<serialize::Reader> reader = RecvFrame(loop.client, &kind);
-  sender.join();
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(kind, FrameKind::kCompressed);
-  std::string text;
-  ASSERT_TRUE(reader->ReadString(&text).ok());
-  EXPECT_EQ(text, "compressed-kind payload");
-  // The compressed magic is "FGNZ" — a v3 binary's magic check rejects it
-  // rather than misparsing (compressed frames are only sent after a v4
-  // negotiation, so this is belt and braces).
-  EXPECT_NE(kFrameMagic, kFrameMagicCompressed);
-}
-
-TEST(RpcTest, HelloCodecCapabilitiesRoundTrip) {
-  Loop loop = MakeLoop();
-  std::thread sender([&] {
-    HelloMsg hello;
-    hello.codec_capabilities = compress::AllCapabilities();
-    ASSERT_TRUE(SendMessage(loop.peer, hello).ok());
-  });
-  HelloMsg got;
-  const Status received = ExpectMessage(loop.client, &got);
-  sender.join();
-  ASSERT_TRUE(received.ok()) << received;
-  EXPECT_EQ(got.protocol_version, kProtocolVersion);
-  EXPECT_EQ(got.codec_capabilities, compress::AllCapabilities());
-}
-
 TEST(RpcTest, AssignConfigV4TrailerRoundTrips) {
   AssignConfigMsg in;
   in.worker_index = 1;
@@ -600,26 +565,25 @@ TEST(RpcTest, CompressedLinkRoundTripsTrainTensors) {
 }
 
 TEST(RpcTest, HelloEncodesByteIdenticalToVersionReferences) {
-  // The Hello body is pinned to the hand-written v5 layout: version, clock
-  // stamp, capabilities word, role word.
+  // The Hello body is pinned to the hand-written v6 layout: version, clock
+  // stamp, role word.
   HelloMsg hello;
   hello.t_send_us = 777;
-  hello.codec_capabilities = 0x0Fu;
   hello.node_role = static_cast<uint32_t>(NodeRole::kAggregator);
   serialize::Writer w;
   hello.Encode(&w);
 
-  serialize::Writer v5;
-  v5.WriteU32(kProtocolVersion);
-  v5.WriteI64(777);
-  v5.WriteU32(0x0Fu);  // codec capabilities
-  v5.WriteU32(1u);     // NodeRole::kAggregator
-  EXPECT_EQ(w.Encode(), v5.Encode());
+  serialize::Writer v6;
+  v6.WriteU32(6u);
+  v6.WriteI64(777);
+  v6.WriteU32(1u);  // NodeRole::kAggregator
+  EXPECT_EQ(w.Encode(), v6.Encode());
 }
 
 TEST(RpcTest, AssignConfigEncodesByteIdenticalToV5Reference) {
-  // The AssignConfig body is pinned to the hand-written v5 layout: the
-  // wire config, hosted ids, clock stamps, worker index, codec, top-k.
+  // The AssignConfig body is pinned to the hand-written v5 layout, which
+  // v6 keeps: the wire config, hosted ids, clock stamps, worker index,
+  // codec, top-k.
   AssignConfigMsg in;
   in.client_ids = {2, 5};
   in.hello_recv_us = 11;
@@ -647,14 +611,25 @@ struct V4ShapedHello {
   void Encode(serialize::Writer* w, compress::Link* /*link*/) const {
     w->WriteU32(4u);
     w->WriteI64(42);
-    w->WriteU32(compress::AllCapabilities());
+    w->WriteU32(0x0Fu);  // codec capabilities
+  }
+};
+
+// The layout a v5 peer sent: capabilities word, then the role word.
+struct V5ShapedHello {
+  static constexpr MsgType kType = MsgType::kHello;
+  void Encode(serialize::Writer* w, compress::Link* /*link*/) const {
+    w->WriteU32(5u);
+    w->WriteI64(42);
+    w->WriteU32(0x0Fu);  // codec capabilities
+    w->WriteU32(0u);     // NodeRole::kWorker
   }
 };
 
 // Dials a WorkerFleet with `hello` and expects the version refusal on both
 // ends: Accept fails with FailedPrecondition, the peer reads an ErrorMsg.
 template <typename Hello>
-void ExpectHelloRefusedByVersion(const Hello& hello) {
+void ExpectHelloRefusedByVersion(const Hello& hello, uint32_t version) {
   Result<ServerSocket> server = ServerSocket::Listen(0);
   ASSERT_TRUE(server.ok()) << server.status();
   Status peer_saw = OkStatus();
@@ -671,22 +646,60 @@ void ExpectHelloRefusedByVersion(const Hello& hello) {
   const Status accepted = fleet.Accept(*server, 1, {{0}}, options);
   worker.join();
   EXPECT_EQ(accepted.code(), StatusCode::kFailedPrecondition) << accepted;
-  EXPECT_NE(accepted.message().find("peer speaks 4"), std::string::npos)
+  EXPECT_NE(accepted.message().find("peer speaks " + std::to_string(version)),
+            std::string::npos)
       << accepted;
   EXPECT_EQ(peer_saw.code(), StatusCode::kFailedPrecondition) << peer_saw;
-  EXPECT_NE(peer_saw.message().find("protocol version 5 required"),
+  EXPECT_NE(peer_saw.message().find("protocol version 6 required"),
             std::string::npos)
       << peer_saw;
 }
 
-TEST(RpcTest, Version4HelloIsRefusedWithAnErrorMsg) {
-  // Both the short body a v4 worker sent and a full v5-shaped body that
-  // names version 4.
-  ExpectHelloRefusedByVersion(V4ShapedHello());
-  HelloMsg hello;
-  hello.protocol_version = 4;
-  hello.codec_capabilities = compress::AllCapabilities();
-  ExpectHelloRefusedByVersion(hello);
+TEST(RpcTest, OlderVersionHelloIsRefusedWithAnErrorMsg) {
+  // The bodies v4 and v5 peers actually sent, and current-layout bodies
+  // that name either version.
+  ExpectHelloRefusedByVersion(V4ShapedHello(), 4);
+  ExpectHelloRefusedByVersion(V5ShapedHello(), 5);
+  for (uint32_t version : {4u, 5u}) {
+    HelloMsg hello;
+    hello.protocol_version = version;
+    ExpectHelloRefusedByVersion(hello, version);
+  }
+}
+
+TEST(RpcTest, WorkerRefusesAnUnknownAssignedCodec) {
+  // The server's codec binds the worker, so an id this build does not
+  // know ends the handshake: the worker complains and returns
+  // InvalidArgument instead of guessing. 256 must not wrap onto "none".
+  for (uint32_t codec_id : {9u, 256u}) {
+    Result<ServerSocket> server = ServerSocket::Listen(0);
+    ASSERT_TRUE(server.ok()) << server.status();
+    RemoteRunnerOptions options;
+    options.port = server->port();
+    options.rpc.deadline_ms = 5000;
+    Status server_saw = OkStatus();
+    std::thread fake_server([&] {
+      Result<Socket> sock = server->Accept(5000);
+      ASSERT_TRUE(sock.ok()) << sock.status();
+      HelloMsg hello;
+      ASSERT_TRUE(ReceiveHello(*sock, NodeRole::kWorker, &hello).ok());
+      AssignConfigMsg assign;
+      assign.client_ids = {0};
+      assign.codec_id = codec_id;
+      ASSERT_TRUE(SendMessage(*sock, assign).ok());
+      ConfigAckMsg ack;
+      server_saw = ExpectMessage(*sock, &ack);
+    });
+    const Status ran = RemoteClientRunner(options).Run();
+    fake_server.join();
+    EXPECT_EQ(ran.code(), StatusCode::kInvalidArgument) << ran;
+    EXPECT_EQ(server_saw.code(), StatusCode::kFailedPrecondition)
+        << server_saw;
+    EXPECT_NE(server_saw.message().find("unknown codec id " +
+                                        std::to_string(codec_id)),
+              std::string::npos)
+        << server_saw;
+  }
 }
 
 TEST(RpcTest, RoutedMsgRoundTripsOverSocket) {
